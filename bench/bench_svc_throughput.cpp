@@ -8,21 +8,17 @@
 // client id should scale requests/sec near-linearly in worker count,
 // because shards share no protocol state.
 //
-// Method: for each (workers, queue_depth, backend_us) configuration,
+// Method: for each (workers, queue_depth, max_batch) configuration,
 // build a real 8-client fleet, enroll it THROUGH the service, pre-mint
 // genuine signed confirmations via real PAL sessions (outside the timing
 // window), then blast the confirmation frames from one producer thread
 // per client and time until every response arrives. One JSON line per
-// configuration.
+// configuration, then a summary line.
 //
-// The primary sweep sets SvcConfig::simulated_backend_latency (a deployed
-// SP commits each accepted transaction to a backing store; the paper's
-// evaluation abstracts this away). That component is what worker
-// concurrency hides, so those rows measure the runtime's actual
-// contribution and scale with worker count on any host. The pure-CPU
-// reference rows (backend_us = 0) isolate the RSA verify; their scaling
-// tracks available cores and is expectedly flat on a single-core
-// container.
+// Every row is pure CPU (in-memory shards, no storage), so worker
+// scaling tracks the cores the host actually has. The durable path's
+// batching win, journal group commit, is measured end to end on a
+// FileBackend by perfbench (confirm_durable).
 //
 // Usage: bench_svc_throughput [requests_per_config] [--json=<path>]
 //   requests_per_config  defaults to 2400
@@ -61,17 +57,34 @@ class ScriptedCodeAgent : public pal::UserAgent {
 struct ConfigResult {
   std::size_t workers = 0;
   std::size_t queue_depth = 0;
-  std::uint64_t backend_us = 0;
+  std::size_t max_batch = 0;
   double rps = 0.0;
   std::string json;  // the row exactly as printed (sans newline)
 };
 
-/// Knobs for the batched-drain sweep (F10); defaults reproduce the
-/// pre-batching worker loop (one frame per wakeup, per-request commit).
-struct BatchKnobs {
-  std::size_t max_batch = 1;
-  bool group_commit = false;
-};
+/// The requests/s of the one row with this full key. Aborts unless
+/// exactly one row matches, so a summary can never silently divide rows
+/// from different sweeps.
+double rps_of(const std::vector<ConfigResult>& results, std::size_t workers,
+              std::size_t queue_depth, std::size_t max_batch) {
+  const ConfigResult* match = nullptr;
+  std::size_t matches = 0;
+  for (const ConfigResult& r : results) {
+    if (r.workers == workers && r.queue_depth == queue_depth &&
+        r.max_batch == max_batch) {
+      match = &r;
+      ++matches;
+    }
+  }
+  if (matches != 1) {
+    std::fprintf(stderr,
+                 "FATAL: %zu rows match workers=%zu queue_depth=%zu "
+                 "max_batch=%zu\n",
+                 matches, workers, queue_depth, max_batch);
+    std::abort();
+  }
+  return match->rps;
+}
 
 /// Mints one genuine pending-at-service confirmation for fleet member `i`.
 Bytes mint_confirm_frame(sp::Fleet& fleet, svc::VerifierService& service,
@@ -103,8 +116,7 @@ Bytes mint_confirm_frame(sp::Fleet& fleet, svc::VerifierService& service,
 }
 
 ConfigResult run_config(std::size_t workers, std::size_t queue_depth,
-                        std::size_t total_requests, std::uint64_t backend_us,
-                        BatchKnobs batch = {}) {
+                        std::size_t max_batch, std::size_t total_requests) {
   sp::FleetConfig fleet_config;
   fleet_config.num_clients = 8;
   fleet_config.seed = bytes_of("svc-bench");
@@ -113,9 +125,7 @@ ConfigResult run_config(std::size_t workers, std::size_t queue_depth,
   svc::SvcConfig svc_config;
   svc_config.num_workers = workers;
   svc_config.queue_depth = queue_depth;
-  svc_config.simulated_backend_latency = std::chrono::microseconds(backend_us);
-  svc_config.max_batch = batch.max_batch;
-  svc_config.group_commit = batch.group_commit;
+  svc_config.max_batch = max_batch;
   svc_config.sp = fleet.sp_config();
   svc::VerifierService service(std::move(svc_config));
   service.start();
@@ -188,12 +198,11 @@ ConfigResult run_config(std::size_t workers, std::size_t queue_depth,
   std::snprintf(
       row, sizeof(row),
       "{\"bench\":\"svc_throughput\",\"workers\":%zu,\"queue_depth\":%zu,"
-      "\"backend_us\":%llu,\"max_batch\":%zu,\"group_commit\":%s,"
+      "\"max_batch\":%zu,"
       "\"mean_drain\":%.1f,\"clients\":%zu,\"requests\":%zu,"
       "\"accepted\":%llu,\"elapsed_ms\":%.1f,\"rps\":%.0f,\"p50_us\":%.1f,"
       "\"p95_us\":%.1f,\"p99_us\":%.1f,\"backpressure_waits\":%llu}",
-      workers, queue_depth, static_cast<unsigned long long>(backend_us),
-      batch.max_batch, batch.group_commit ? "true" : "false", drained.mean(),
+      workers, queue_depth, max_batch, drained.mean(),
       fleet.size(), sent, static_cast<unsigned long long>(total_accepted),
       elapsed_ms, rps, latency.p50() / 1e3, latency.p95() / 1e3,
       latency.p99() / 1e3, static_cast<unsigned long long>(backpressure));
@@ -204,7 +213,7 @@ ConfigResult run_config(std::size_t workers, std::size_t queue_depth,
                  static_cast<unsigned long long>(total_accepted));
     std::abort();
   }
-  return ConfigResult{workers, queue_depth, backend_us, rps, row};
+  return ConfigResult{workers, queue_depth, max_batch, rps, row};
 }
 
 }  // namespace
@@ -221,64 +230,32 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Primary sweep: worker scaling with the modeled 500us backing-store
-  // commit per request. These rows measure the runtime's latency hiding
-  // and scale with workers on any host, including single-core ones.
-  constexpr std::uint64_t kBackendUs = 500;
   std::vector<ConfigResult> results;
+  // Worker scaling, one frame per wakeup: shards share no protocol
+  // state, so this tracks the host's cores.
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    results.push_back(
-        run_config(workers, /*queue_depth=*/256, requests, kBackendUs));
-  }
-  // Pure-CPU reference rows: scaling here tracks available cores, not the
-  // runtime (flat on a 1-core container; see EXPERIMENTS.md F3c).
-  for (const std::size_t workers : {1u, 4u}) {
-    results.push_back(
-        run_config(workers, /*queue_depth=*/256, requests, /*backend_us=*/0));
+    results.push_back(run_config(workers, /*queue_depth=*/256,
+                                 /*max_batch=*/1, requests));
   }
   // Queue-depth sweep at 4 workers: depth trades memory for backpressure
   // stalls; throughput should be depth-insensitive once depth >> burst.
   for (const std::size_t depth : {16u, 2048u}) {
-    results.push_back(run_config(/*workers=*/4, depth, requests, kBackendUs));
+    results.push_back(
+        run_config(/*workers=*/4, depth, /*max_batch=*/1, requests));
   }
-  // F10 batched-drain sweep: one wakeup drains up to max_batch frames
-  // and the drained batch shares one backing-store commit (group
-  // commit) plus one gathered verify pass. max_batch=1 is the control
-  // (identical model to the rows above); the gain at 4/16/64 is the
-  // amortization of the fixed per-request costs -- the commit first,
-  // then the wakeup/verify overheads once the commit no longer
-  // dominates.
-  for (const std::size_t mb : {1u, 4u, 16u, 64u}) {
-    results.push_back(run_config(/*workers=*/4, /*queue_depth=*/256, requests,
-                                 kBackendUs,
-                                 BatchKnobs{mb, /*group_commit=*/true}));
-  }
-  // CPU-only batched-drain rows: no commit to amortize, so what remains
-  // is the queue hand-off and the batched signature verification.
-  for (const std::size_t mb : {16u, 64u}) {
-    results.push_back(run_config(/*workers=*/4, /*queue_depth=*/256, requests,
-                                 /*backend_us=*/0,
-                                 BatchKnobs{mb, /*group_commit=*/false}));
+  // F10 batched-drain sweep at 4 workers (max_batch=1 is the worker
+  // sweep's row): one wakeup drains up to max_batch frames, amortizing
+  // the queue hand-off and sharing one gathered verify pass.
+  for (const std::size_t mb : {4u, 16u, 64u}) {
+    results.push_back(
+        run_config(/*workers=*/4, /*queue_depth=*/256, mb, requests));
   }
 
-  double rps_1w = 0.0, rps_4w = 0.0, cpu_1w = 0.0, cpu_4w = 0.0;
-  for (const auto& r : results) {
-    if (r.queue_depth != 256) continue;
-    if (r.backend_us == kBackendUs) {
-      if (r.workers == 1) rps_1w = r.rps;
-      if (r.workers == 4) rps_4w = r.rps;
-    } else {
-      if (r.workers == 1) cpu_1w = r.rps;
-      if (r.workers == 4) cpu_4w = r.rps;
-    }
-  }
   char summary[160];
   std::snprintf(summary, sizeof(summary),
                 "{\"bench\":\"svc_throughput_summary\","
-                "\"speedup_1w_to_4w\":%.2f,"
-                "\"speedup_1w_to_4w_cpu_only\":%.2f}",
-                rps_1w > 0 ? rps_4w / rps_1w : 0.0,
-                cpu_1w > 0 ? cpu_4w / cpu_1w : 0.0);
+                "\"speedup_1w_to_4w\":%.2f}",
+                rps_of(results, 4, 256, 1) / rps_of(results, 1, 256, 1));
   std::printf("%s\n", summary);
 
   if (!json_path.empty()) {

@@ -36,8 +36,9 @@
 //                   remaining rounds must still confirm every payment
 // Durability (single-service mode):
 //   --journal-dir=D write-ahead journal + snapshot under directory D
-//                   (fdatasync'd on every acked mutation; forces one
-//                   worker, since a DurableLog serializes one shard).
+//                   (one fdatasync per drained batch, before any of its
+//                   replies is released; forces one worker, since a
+//                   DurableLog serializes one shard).
 //                   Startup replays whatever the directory holds and
 //                   prints the recovery counters, so running the daemon
 //                   twice with the same D demonstrates restart across

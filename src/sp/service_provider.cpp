@@ -636,8 +636,13 @@ void ServiceProvider::checkpoint() {
   config_.durable->compact(export_state());
 }
 
-void ServiceProvider::maybe_compact() {
-  if (config_.durable != nullptr && config_.durable->should_compact()) {
+void ServiceProvider::commit_journal() {
+  if (config_.durable == nullptr) return;
+  // Group commit: every record this call staged goes to the backend in
+  // one append (one write + one fdatasync on FileBackend), before the
+  // caller can release any of the call's replies.
+  config_.durable->commit();
+  if (config_.durable->should_compact()) {
     config_.durable->compact(export_state());
   }
 }
@@ -648,7 +653,7 @@ void ServiceProvider::journal_enroll_begin(
   const proto::SessionTable::Session* session =
       enroll_sessions_.find(key, session_now());
   if (session == nullptr) return;
-  config_.durable->append(
+  config_.durable->stage(
       store::RecordType::kEnrollBegin,
       store::enroll_begin_body(session_now().ns, key, *session));
 }
@@ -664,7 +669,7 @@ void ServiceProvider::journal_enroll_settle(
   if (auto it = enrolled.find(client_id); it != enrolled.end()) {
     key_blob = it->second.key().serialize();
   }
-  config_.durable->append(
+  config_.durable->stage(
       store::RecordType::kEnrollSettle,
       store::enroll_settle_body(session_now().ns, key, *session, client_id,
                                 key_blob));
@@ -678,7 +683,7 @@ void ServiceProvider::journal_tx_begin(std::uint64_t tx_id,
       tx_sessions_.find(key, session_now());
   if (session == nullptr) return;
   const store::DedupRow row{slot.client, slot.digest, slot.tx_id};
-  config_.durable->append(
+  config_.durable->stage(
       store::RecordType::kTxBegin,
       store::tx_begin_body(session_now().ns, key, *session, next_tx_id_,
                            &row));
@@ -702,7 +707,7 @@ void ServiceProvider::journal_tx_settle(std::uint64_t tx_id,
   if (accepted && seen_signatures_.contains(msg.signature)) {
     digest = ReplayCache::digest_of(msg.signature);
   }
-  config_.durable->append(
+  config_.durable->stage(
       store::RecordType::kTxSettle,
       store::tx_settle_body(session_now().ns, key, *session, next_tx_id_,
                             c_tx_accepted_->value(),
@@ -739,7 +744,7 @@ Bytes ServiceProvider::handle_frame(BytesView frame, SimTime now) {
 
 Bytes ServiceProvider::handle_frame(BytesView frame) {
   Bytes response = process_frame(frame);
-  maybe_compact();
+  commit_journal();
   return response;
 }
 
@@ -1019,9 +1024,9 @@ std::vector<Bytes> ServiceProvider::handle_frame_batch(
                               session_now()),
             proto::SessionTable::payload_key(p.payload), resp);
       }
-      // One record per frame, appended before its reply leaves the run:
-      // a crash mid-loop loses only frames whose promises were never
-      // resolved (the svc worker fails the whole batch on the throw).
+      // One record per frame, staged here and committed with the whole
+      // batch before any reply leaves (the svc worker fails every
+      // promise of a batch whose commit throws).
       journal_tx_settle(p.msg.tx_id, p.msg, result.accepted);
       out[p.frame_index] = std::move(resp);
     }
@@ -1069,12 +1074,12 @@ std::vector<Bytes> ServiceProvider::handle_frame_batch(
     }
     // Every other frame type can create, recycle or evict sessions:
     // settle the pending run first, then take the single-frame path
-    // (process_frame: the batch compacts once at the end, not per frame).
+    // (process_frame: the batch commits once at the end, not per frame).
     flush();
     out[f] = process_frame(frames[f]);
   }
   flush();
-  maybe_compact();
+  commit_journal();
   return out;
 }
 

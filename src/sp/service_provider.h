@@ -141,9 +141,12 @@ struct SpConfig {
   /// publishes sp.recovery.* metrics, and reseeds the nonce stream so a
   /// restarted shard never reuses a pre-crash nonce. Afterwards every
   /// frame that mutates durable state (enroll admitted, tx settled +
-  /// cached reply, replay digest, dedup row) appends exactly one record
-  /// BEFORE its reply is released -- the write-ahead contract that makes
-  /// an acked operation survive process death. Requires
+  /// cached reply, replay digest, dedup row) stages exactly one record,
+  /// and each handle_frame / handle_frame_batch call commits its staged
+  /// records in one backend append (one write + one fdatasync on
+  /// FileBackend) BEFORE it returns any reply -- the write-ahead
+  /// contract that makes an acked operation survive process death, paid
+  /// once per call rather than once per record. Requires
   /// idempotent_replies (recovery replays cached responses; one-shot
   /// mode has nothing to replay). The caller owns the log and its
   /// backend, and must not share one log between SPs.
@@ -399,27 +402,31 @@ class ServiceProvider {
   void prepare_confirm(const core::TxConfirm& msg, PreparedConfirm& prep);
   core::TxResult settle_confirm(PreparedConfirm& prep);
 
-  /// handle_frame minus the compaction check (the batch path calls this
-  /// per frame and compacts once per batch).
+  /// handle_frame minus the journal commit (the batch path calls this
+  /// per frame and commits once per batch).
   Bytes process_frame(BytesView frame);
 
   /// Rebuilds in-memory state from a recovered ShardState (constructor
   /// path when config_.durable is set).
   void restore_state(store::ShardState&& state);
 
-  // Write-ahead appends, one per durable frame, called after the frame's
-  // reply is cached and before it is released. All no-ops when
-  // config_.durable == nullptr. They may throw store::CrashInjected
-  // (fault-injecting backends), which the serving layer treats as the
-  // process dying mid-frame.
+  // Write-ahead records, one per durable frame, staged after the frame's
+  // reply is cached. Nothing reaches storage until commit_journal() at
+  // the end of the handle_frame / handle_frame_batch call, which runs
+  // before the call returns any reply. All no-ops when
+  // config_.durable == nullptr.
   void journal_enroll_begin(const proto::SessionTable::Key& key);
   void journal_enroll_settle(const proto::SessionTable::Key& key,
                              const std::string& client_id);
   void journal_tx_begin(std::uint64_t tx_id, const SubmitDedup& slot);
   void journal_tx_settle(std::uint64_t tx_id, const core::TxConfirm& msg,
                          bool accepted);
-  /// Compacts when the journal crossed its configured size threshold.
-  void maybe_compact();
+  /// Commits the call's staged records in one backend append, then
+  /// compacts when the journal crossed its configured size threshold.
+  /// May throw store::CrashInjected (fault-injecting backends) or
+  /// std::runtime_error (a failed write/fdatasync), which the serving
+  /// layer treats as the process dying mid-batch.
+  void commit_journal();
 
   Bytes fresh_nonce();
   obs::Counter& reject_counter(proto::RejectCode code) {

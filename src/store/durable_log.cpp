@@ -15,6 +15,10 @@ DurableLog::DurableLog(DurableLogConfig config)
 
 Result<ShardState> DurableLog::recover() {
   stats_ = RecoveryStats{};
+  // Records staged by a predecessor that died before committing were
+  // never acked; they must not ride along with the next commit.
+  staged_.clear();
+  staged_records_ = 0;
   ShardState base;
   const Bytes snapshot = backend_->read_snapshot();
   if (!snapshot.empty()) {
@@ -74,14 +78,29 @@ Result<ShardState> DurableLog::recover() {
   return state;
 }
 
+void DurableLog::stage(RecordType type, BytesView body) {
+  tp::append(staged_, encode_record(next_seq_ + staged_records_, type, body));
+  ++staged_records_;
+}
+
+void DurableLog::commit() {
+  if (staged_records_ == 0) return;
+  // Take the batch out first, so a throwing backend leaves nothing
+  // staged for the next commit.
+  const std::uint64_t records = std::exchange(staged_records_, 0);
+  const Bytes batch = std::exchange(staged_, Bytes{});
+  backend_->append_journal(batch);
+  // Only advance the cursor once the backend accepted the batch: a torn
+  // commit must not consume seqs, or a restart that reuses this
+  // DurableLog would leave a gap (recover() re-positions the cursor past
+  // whatever whole records the tear kept).
+  next_seq_ += records;
+  records_appended_ += records;
+}
+
 void DurableLog::append(RecordType type, BytesView body) {
-  const Bytes record = encode_record(next_seq_, type, body);
-  backend_->append_journal(record);
-  // Only advance the cursor once the backend accepted the record: a
-  // torn append (CrashInjected) must not consume the seq, or a restart
-  // that reuses this DurableLog would leave a gap.
-  ++next_seq_;
-  ++records_appended_;
+  stage(type, body);
+  commit();
 }
 
 bool DurableLog::should_compact() const {
@@ -96,6 +115,7 @@ bool DurableLog::should_compact() const {
 }
 
 void DurableLog::compact(const ShardState& state) {
+  commit();
   ShardState stamped = state;
   stamped.last_seq = next_seq_ - 1;
   const Bytes snapshot = serialize_shard_state(stamped);

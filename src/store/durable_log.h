@@ -7,9 +7,15 @@
 //     records are tolerated and reported via recovery_stats()). It also
 //     positions the append cursor past everything recovered, so a
 //     restarted shard continues the same seq space.
-//   - append() frames and persists one record, durable before return.
-//     The caller (ServiceProvider) invokes it before releasing the
-//     frame's reply -- that ordering IS the write-ahead contract.
+//   - stage() frames one record with the seq it will get and buffers
+//     it; commit() hands every staged record to the backend in ONE
+//     append_journal call (one write + one fdatasync on FileBackend),
+//     durable before return. The ServiceProvider stages a record per
+//     mutating frame and commits once per handle_frame /
+//     handle_frame_batch call, before any of the call's replies is
+//     released -- that ordering IS the write-ahead contract, and one
+//     sync per drained batch is the group commit. append() is
+//     stage + commit for a single record.
 //   - compact() replaces snapshot+journal with the current state. The
 //     crash window between write_snapshot and reset_journal is safe:
 //     the snapshot carries last_seq and replay skips covered records.
@@ -67,18 +73,30 @@ class DurableLog {
 
   const RecoveryStats& recovery_stats() const { return stats_; }
 
-  /// Appends one record with the next seq. Durable before return; may
-  /// throw CrashInjected / std::runtime_error from the backend.
+  /// Frames one record with the seq it will get once committed and adds
+  /// it to the pending batch. Nothing reaches the backend yet.
+  void stage(RecordType type, BytesView body);
+
+  /// Persists every staged record with ONE backend append_journal call;
+  /// durable before return, a no-op when nothing is staged. The batch is
+  /// the concatenation of the framed records, so the journal bytes equal
+  /// those of one append() per record. May throw CrashInjected /
+  /// std::runtime_error from the backend; either way the staged records
+  /// are discarded and no seq is consumed (the backend may have kept a
+  /// prefix of the batch, which the next recover() folds in or drops).
+  void commit();
+
+  /// stage + commit: one record, durable before return.
   void append(RecordType type, BytesView body);
 
-  /// Seq the next append will use.
+  /// Seq the next committed record will use.
   std::uint64_t next_seq() const { return next_seq_; }
   std::uint64_t records_appended() const { return records_appended_; }
 
   bool should_compact() const;
 
-  /// Snapshots `state` (stamped with the current seq cursor) and resets
-  /// the journal.
+  /// Commits any staged records, then snapshots `state` (stamped with
+  /// the seq cursor) and resets the journal.
   void compact(const ShardState& state);
 
   StorageBackend& backend() { return *backend_; }
@@ -89,6 +107,10 @@ class DurableLog {
   RecoveryStats stats_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t records_appended_ = 0;
+  /// Framed records awaiting commit(); they carry seqs next_seq_ ..
+  /// next_seq_ + staged_records_ - 1.
+  Bytes staged_;
+  std::uint64_t staged_records_ = 0;
   /// Size of the newest snapshot this log has seen (written by
   /// compact() or read back by recover()); input to the ratio rule.
   std::uint64_t last_snapshot_bytes_ = 0;

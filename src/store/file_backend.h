@@ -5,9 +5,13 @@
 //   snapshot.bin  -- the compacted ShardState blob
 //
 // Durability discipline:
-//   - append_journal: one write(2) of the whole record followed by
+//   - append_journal: one write(2) of the whole buffer (a DurableLog
+//     commit: every record of a drained batch) followed by one
 //     fdatasync. A crash mid-write leaves a prefix -- exactly the torn
-//     tail decode_journal tolerates.
+//     tail decode_journal tolerates. A failed write or fdatasync throws
+//     std::runtime_error; the caller must not retry the sync (the page
+//     cache cannot be trusted after a failed fdatasync) but rebuild
+//     from the journal.
 //   - write_snapshot: write to snapshot.bin.tmp, fsync, rename over
 //     snapshot.bin, fsync the directory -- the standard atomic-replace
 //     dance, so recovery sees the old or the new snapshot, never a mix.

@@ -5,9 +5,13 @@
 // minimum the recovery path needs and nothing more:
 //
 //   - append_journal() is durable-before-return: once it returns, the
-//     record survives a process death. A backend that throws from
-//     append_journal() guarantees that AT MOST a prefix of the record
-//     was persisted (a torn write) -- never interior bytes.
+//     bytes survive a process death. DurableLog::commit() hands it one
+//     or more whole framed records at once -- every record a
+//     handle_frame / handle_frame_batch call staged -- so FileBackend
+//     pays one write + one fdatasync per drained batch. A backend that
+//     throws from append_journal() guarantees that AT MOST a prefix of
+//     the buffer was persisted (a torn write, possibly ending inside any
+//     of its records) -- never interior bytes.
 //   - write_snapshot() atomically replaces the previous snapshot; a
 //     crash leaves either the old blob or the new one, never a mix.
 //   - reset_journal() truncates the journal to empty (after a snapshot
@@ -18,7 +22,8 @@
 // across reset_journal() -- so a test can arm "die N bytes from now"
 // and the point stays valid even if a compaction truncates the file in
 // between. The append that crosses the armed offset keeps only the
-// prefix up to it (a torn write) and throws CrashInjected; every later
+// prefix up to it (a torn write, which inside a multi-record batch can
+// keep some records whole) and throws CrashInjected; every later
 // append throws too, because a dead process does not come back until
 // someone clears the crash point and re-runs recovery.
 #pragma once
@@ -33,7 +38,7 @@
 namespace tp::store {
 
 /// Thrown by fault-injecting backends at an armed crash point. The
-/// verifier service treats it as the process dying mid-frame: the
+/// verifier service treats it as the process dying mid-batch: the
 /// in-memory shard state is poison from that moment on and only a
 /// restart-from-journal brings the shard back.
 class CrashInjected : public std::runtime_error {
@@ -55,9 +60,10 @@ class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
 
-  /// Appends `record` to the journal, durable before return. May throw
-  /// CrashInjected (fault-injecting backends) or std::runtime_error
-  /// (real I/O failure); either way at most a prefix was persisted.
+  /// Appends `record` -- one or more concatenated framed records -- to
+  /// the journal, durable before return. May throw CrashInjected
+  /// (fault-injecting backends) or std::runtime_error (real I/O
+  /// failure); either way at most a prefix was persisted.
   virtual void append_journal(BytesView record) = 0;
 
   /// The full journal contents (possibly ending in a torn record).

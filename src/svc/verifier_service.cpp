@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "store/storage_backend.h"
 #include "util/log.h"
 
 namespace tp::svc {
@@ -77,11 +76,6 @@ VerifierService::VerifierService(SvcConfig config)
   if (config_.max_batch > config_.queue_depth) {
     config_.max_batch = config_.queue_depth;
   }
-  backend_latency_ns_.store(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          config_.simulated_backend_latency)
-          .count(),
-      std::memory_order_relaxed);
 
   const std::size_t n = router_.num_shards();
   shards_.reserve(n);
@@ -227,7 +221,10 @@ void VerifierService::worker_loop(std::size_t shard_index) {
   // survives the per-request deadline/shutdown screens reaches the
   // shard SP as ONE handle_frame_batch call (answer-for-answer
   // equivalent to per-frame handling, but queued TxConfirm bursts share
-  // a gathered signature-verification pass).
+  // a gathered signature-verification pass, and a durable SP commits
+  // the batch's journal records with one write + fdatasync before the
+  // call returns -- so no reply below is released before its record is
+  // on disk).
   while (shard.queue->pop_batch(batch, config_.max_batch) > 0) {
     const auto start = Clock::now();
     h_batch_size_->record(batch.size());
@@ -254,7 +251,7 @@ void VerifierService::worker_loop(std::size_t shard_index) {
     if (live.empty()) continue;
 
     if (crashed_.load(std::memory_order_acquire)) {
-      // The shard SP died mid-append on an earlier batch. Its journal
+      // The shard SP died mid-commit on an earlier batch. Its journal
       // holds every acked mutation and possibly a torn tail; touching
       // the in-memory SP again could ack work the journal never saw.
       // Fail everything still arriving -- recovery is a rebuild.
@@ -274,34 +271,26 @@ void VerifierService::worker_loop(std::size_t shard_index) {
       responses = shard.sp->handle_frame_batch(
           frames,
           SimTime{static_cast<std::int64_t>(ns_between(epoch_, start))});
-    } catch (const store::CrashInjected& crash) {
-      // Injected process death at a journal offset. Nothing in this
-      // batch was acked (the journal append happens before the reply is
-      // returned, and the throw aborted the batch), so failing every
-      // live promise with kShutdown keeps the ack set a subset of the
-      // journal -- the invariant recovery leans on.
+    } catch (const std::runtime_error& error) {
+      // The shard died in its journal commit: an injected crash
+      // (store::CrashInjected) or a real I/O error such as ENOSPC from
+      // the backend's write or fdatasync. The batch's records are at
+      // most partly on disk and none of its replies was returned, so
+      // failing every live promise with kShutdown keeps the ack set a
+      // subset of the journal -- the invariant recovery leans on. No
+      // retry: after a failed fdatasync the page cache cannot be
+      // trusted, and a restart rebuilds the shard from the journal.
       crashed_.store(true, std::memory_order_release);
       accepting_.store(false, std::memory_order_release);
       TP_LOG(kWarn, "svc") << "shard " << shard_index
-                           << " crashed at journal offset " << crash.offset()
-                           << "; service now rejects all requests";
+                           << " died committing its journal ("
+                           << error.what()
+                           << "); service now rejects all requests";
       for (const std::size_t i : live) {
         c_rejected_shutdown_->inc();
         batch[i].promise.set_value(SvcResponse{SvcStatus::kShutdown, {}});
       }
       continue;
-    }
-    const std::int64_t backend_ns =
-        backend_latency_ns_.load(std::memory_order_relaxed);
-    if (backend_ns > 0) {
-      // Default: the modelled backing-store commit stays per-request
-      // (batching the verifier does not batch the ledger). With
-      // group_commit the whole drained batch shares one commit -- the
-      // write amortization a batched ledger actually provides.
-      std::this_thread::sleep_for(std::chrono::nanoseconds(
-          config_.group_commit
-              ? backend_ns
-              : backend_ns * static_cast<std::int64_t>(live.size())));
     }
     const auto done = Clock::now();
     for (std::size_t j = 0; j < live.size(); ++j) {

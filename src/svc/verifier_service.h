@@ -71,27 +71,15 @@ struct SvcConfig {
   /// handed to the shard SP as one handle_frame_batch call, so queued
   /// TxConfirm bursts share one gathered signature-verification pass;
   /// the queue hand-off cost (condvar wakeup + lock round trip) also
-  /// amortizes across the batch. 1 restores the one-frame-per-wakeup
-  /// behaviour. Latency under light load is unaffected either way: a
-  /// worker never waits for a batch to fill, it drains what is there.
+  /// amortizes across the batch, and so does a durable SP's journal
+  /// commit (one write + fdatasync per batch). 1 restores the
+  /// one-frame-per-wakeup behaviour. Latency under light load is
+  /// unaffected either way: a worker never waits for a batch to fill, it
+  /// drains what is there.
   std::size_t max_batch = 16;
   /// Applied to requests submitted without an explicit deadline;
   /// zero means no deadline.
   std::chrono::milliseconds default_deadline{0};
-  /// Models the per-request backing-store commit (ledger write / DB round
-  /// trip) a deployed SP performs after verification -- the same
-  /// calibrated-latency methodology the rest of the repo uses, in real
-  /// time because this layer is real-threaded. Zero (default) disables
-  /// it. With it on, worker scaling measures latency hiding, which is the
-  /// regime that matters on an oversubscribed or single-core host where
-  /// CPU-bound work cannot speed up.
-  std::chrono::microseconds simulated_backend_latency{0};
-  /// Group commit: pay simulated_backend_latency once per drained batch
-  /// instead of once per request -- the deployed analogue of batching
-  /// the ledger write / fsync for every accept settled in one drain.
-  /// Off by default so the per-request commit model (and every F3c
-  /// baseline measured against it) is unchanged.
-  bool group_commit = false;
   /// Template for every shard's ServiceProvider (the shard index is mixed
   /// into the nonce seed and the metrics prefix). Any SimClock set on
   /// `sp.clock` is ignored: the service drives each shard's session
@@ -130,13 +118,14 @@ class VerifierService {
   void start();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// True once a shard SP hit an injected storage crash
-  /// (store::CrashInjected escaping the journal append). A crashed
-  /// service stops accepting and fails queued requests with kShutdown;
-  /// it must be discarded and a replacement rebuilt from the same
-  /// DurableLog (whose recovery replays everything the crashed service
-  /// acked). Only meaningful for durable configs -- a non-durable
-  /// service never crashes this way.
+  /// True once a shard SP's journal commit threw: an injected crash
+  /// (store::CrashInjected) or a storage I/O error (std::runtime_error
+  /// from a failed write or fdatasync). The batch in flight and
+  /// everything after it fail with kShutdown, and the service stops
+  /// accepting; it must be discarded and a replacement rebuilt from the
+  /// same DurableLog (whose recovery replays everything the crashed
+  /// service acked). Only meaningful for durable configs -- a
+  /// non-durable service never crashes this way.
   bool crashed() const { return crashed_.load(std::memory_order_acquire); }
 
   std::size_t num_shards() const { return shards_.size(); }
@@ -194,16 +183,6 @@ class VerifierService {
     return n;
   }
 
-  /// Runtime adjustment of the modelled backing-store commit latency
-  /// (safe while running; workers read it per drained batch). The
-  /// cluster bench enrolls its population at zero and then measures the
-  /// confirm blast at the calibrated F3c value.
-  void set_simulated_backend_latency(std::chrono::microseconds us) {
-    backend_latency_ns_.store(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(us).count(),
-        std::memory_order_relaxed);
-  }
-
   obs::Registry& metrics() { return *registry_; }
 
   /// Protocol stats aggregated across all shards (safe while running).
@@ -242,9 +221,6 @@ class VerifierService {
   std::atomic<bool> accepting_{false};
   std::atomic<bool> discard_remaining_{false};
   std::atomic<bool> crashed_{false};
-  /// Modelled backing-store commit, ns (see SvcConfig; mutable at
-  /// runtime via set_simulated_backend_latency).
-  std::atomic<std::int64_t> backend_latency_ns_{0};
 
   // Hot-path instruments, resolved once at construction.
   obs::Counter* c_submitted_;

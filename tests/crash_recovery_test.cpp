@@ -9,10 +9,15 @@
 //     Enrollment state survives too: a client admitted before the
 //     crash submits fresh transactions afterwards, verified against
 //     the recovered attestation key.
-//   - svc: an injected storage crash mid-frame flips the service into
-//     crashed mode (kShutdown for everything, nothing acked that the
-//     journal did not see); a replacement built from the same log
-//     replays cached responses byte-identically.
+//   - svc: an injected storage crash mid-frame, or a real I/O error
+//     from the backend, flips the service into crashed mode (kShutdown
+//     for everything, nothing acked that the journal did not see); a
+//     replacement built from the same log replays cached responses
+//     byte-identically.
+//   - group commit: a drained batch journals exactly the bytes the same
+//     frames journal one by one, in one backend append; a tear inside
+//     that append fails the whole batch and recovers its whole-record
+//     prefix, and retransmits then settle every confirm exactly once.
 //   - cluster: the PR 5 invariant extended from lossy links to dying
 //     processes -- 10k transactions at ~26% injected faults with
 //     shards killed at random journal offsets and restarted mid-run,
@@ -23,12 +28,17 @@
 // seed is printed so any failure is replayable).
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdlib>
+#include <future>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <random>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/verifier_cluster.h"
@@ -37,6 +47,7 @@
 #include "sp/fleet.h"
 #include "sp/service_provider.h"
 #include "store/durable_log.h"
+#include "store/journal.h"
 #include "store/shard_state.h"
 #include "store/storage_backend.h"
 #include "svc/verifier_service.h"
@@ -98,6 +109,77 @@ bool result_accepted(BytesView response) {
   auto result = TxResult::deserialize(opened.value().second);
   return result.ok() && result.value().accepted;
 }
+
+/// Test double over a MemoryBackend: counts append_journal calls, can
+/// fail every append with a std::runtime_error (a disk reporting
+/// ENOSPC), and can park the committing thread just after one append has
+/// landed until the test releases it.
+class ProbeBackend final : public store::StorageBackend {
+ public:
+  void append_journal(BytesView record) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (failing_) {
+      throw std::runtime_error(
+          "FileBackend: write journal.wal: No space left on device");
+    }
+    inner_.append_journal(record);
+    ++appends_;
+    if (hold_next_) {
+      hold_next_ = false;
+      held_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return !held_; });
+    }
+  }
+  Bytes read_journal() const override { return inner_.read_journal(); }
+  void reset_journal() override { inner_.reset_journal(); }
+  void write_snapshot(BytesView blob) override { inner_.write_snapshot(blob); }
+  Bytes read_snapshot() const override { return inner_.read_snapshot(); }
+  std::uint64_t journal_bytes() const override {
+    return inner_.journal_bytes();
+  }
+  std::uint64_t appended_total() const override {
+    return inner_.appended_total();
+  }
+  bool supports_crash_injection() const override { return true; }
+  void crash_at_bytes(std::uint64_t offset) override {
+    inner_.crash_at_bytes(offset);
+  }
+  void clear_crash_point() override { inner_.clear_crash_point(); }
+
+  std::size_t appends() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return appends_;
+  }
+  void set_failing(bool failing) {
+    std::lock_guard<std::mutex> lock(mu_);
+    failing_ = failing;
+  }
+  /// Parks the next append after it lands; wait_until_held() returns
+  /// once it has, release() lets it return.
+  void hold_next_append() {
+    std::lock_guard<std::mutex> lock(mu_);
+    hold_next_ = true;
+  }
+  void wait_until_held() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return held_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = false;
+    cv_.notify_all();
+  }
+
+ private:
+  MemoryBackend inner_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t appends_ = 0;
+  bool failing_ = false;
+  bool hold_next_ = false;
+  bool held_ = false;
+};
 
 /// Canonical comparison key for everything a shard must not forget,
 /// with the session-timeline position normalized away: retransmits
@@ -513,6 +595,263 @@ TEST(CrashedService, InjectedCrashFlipsToShutdownAndSuccessorReplays) {
                                                       "pay 2"));
   EXPECT_EQ(retry.status, svc::SvcStatus::kOk);
   successor.drain();
+}
+
+TEST(CrashedService, StorageIoErrorFailsTheBatchAndTheProcessSurvives) {
+  // A real disk error (FileBackend throws std::runtime_error when write
+  // or fdatasync fails, e.g. ENOSPC) takes the injected-crash path: the
+  // batch's promises resolve kShutdown, the service latches crashed
+  // mode, and the error never escapes the worker thread to terminate
+  // the process. The fsync is not retried; a restart rebuilds the shard.
+  ProbeBackend backend;
+  DurableLogConfig lc;
+  lc.backend = &backend;
+
+  svc::SvcConfig config;
+  config.num_workers = 1;
+  config.sp.require_trusted_path = false;
+
+  DurableLog log_a(lc);
+  config.sp.durable = &log_a;
+  const std::string id = "svc-enospc-client";
+  Bytes confirm;
+  {
+    svc::VerifierService service(config);
+    service.start();
+    const auto challenge = service.call(id, submit_frame(id, "pay 1"));
+    ASSERT_EQ(challenge.status, svc::SvcStatus::kOk);
+    confirm = confirm_frame(id, challenge_tx_id(challenge.frame));
+
+    backend.set_failing(true);
+    std::vector<std::future<svc::SvcResponse>> replies;
+    replies.push_back(service.submit(id, confirm));
+    for (int i = 2; i < 6; ++i) {
+      replies.push_back(
+          service.submit(id, submit_frame(id, "pay " + std::to_string(i))));
+    }
+    for (auto& reply : replies) {
+      EXPECT_EQ(reply.get().status, svc::SvcStatus::kShutdown);
+    }
+    EXPECT_TRUE(service.crashed());
+    EXPECT_EQ(service.call(id, confirm).status, svc::SvcStatus::kShutdown);
+    service.drain();
+  }
+
+  // Once the disk is healthy again, a successor recovers the acked submit
+  // and settles the confirm that never got a reply.
+  backend.set_failing(false);
+  DurableLog log_b(lc);
+  config.sp.durable = &log_b;
+  svc::VerifierService successor(config);
+  successor.start();
+  const auto settled = successor.call(id, confirm);
+  ASSERT_EQ(settled.status, svc::SvcStatus::kOk);
+  EXPECT_TRUE(result_accepted(settled.frame));
+  EXPECT_EQ(successor.stats().tx_accepted, 1u);
+  successor.drain();
+}
+
+// --------------------------------------------------------- group commit
+
+TEST(GroupCommit, BatchedJournalIsByteIdenticalWithOneAppendPerCall) {
+  // One frame stream through a durable SP twice: frame by frame with
+  // handle_frame, then in drained batches with handle_frame_batch. Group
+  // commit changes how many backend appends carry the records, never
+  // which bytes land: the journals match byte for byte, and every call
+  // that journaled at least one record made exactly one append.
+  DurableLogConfig lc;
+  lc.compact_journal_bytes = 0;
+  sp::SpConfig cfg;
+  cfg.require_trusted_path = false;
+  cfg.seed = bytes_of("group-commit-identity");
+
+  ProbeBackend seq_backend;
+  lc.backend = &seq_backend;
+  DurableLog seq_log(lc);
+  cfg.durable = &seq_log;
+  sp::ServiceProvider seq_sp(cfg);
+
+  ProbeBackend batch_backend;
+  lc.backend = &batch_backend;
+  DurableLog batch_log(lc);
+  cfg.durable = &batch_log;
+  sp::ServiceProvider batch_sp(cfg);
+
+  // Round r confirms what round r-1 opened (every 4th by a user reject),
+  // repeats its first confirm inside the batch (the batch path must
+  // flush its gathered run), confirms a tx id nobody issued, opens fresh
+  // transactions, and retransmits an earlier round's frame (answered
+  // from cache, never journaled). The frame-by-frame SP's replies name
+  // the tx ids; the batched SP has the same seed, so it issues the same.
+  std::vector<std::vector<Bytes>> rounds;
+  std::vector<std::vector<Bytes>> seq_replies;
+  std::vector<std::pair<std::string, std::uint64_t>> open;
+  for (int r = 0; r < 12; ++r) {
+    std::vector<Bytes> round;
+    for (std::size_t i = 0; i < open.size(); ++i) {
+      round.push_back(confirm_frame(
+          open[i].first, open[i].second,
+          i % 4 == 3 ? Verdict::kRejected : Verdict::kConfirmed));
+    }
+    if (!open.empty()) round.push_back(round.front());
+    round.push_back(confirm_frame("gc-client-0", 0xdead0000 + r));
+    if (r > 0) round.push_back(rounds.back().front());
+    const std::size_t first_submit = round.size();
+    std::vector<std::string> submitters;
+    for (int c = 0; c <= r % 5; ++c) {
+      submitters.push_back("gc-client-" + std::to_string(c));
+      round.push_back(submit_frame(submitters.back(),
+                                   "pay " + std::to_string(r) + "/" +
+                                       std::to_string(c)));
+    }
+
+    open.clear();
+    std::vector<Bytes> replies;
+    for (std::size_t f = 0; f < round.size(); ++f) {
+      const std::uint64_t records = seq_log.records_appended();
+      const std::size_t appends = seq_backend.appends();
+      replies.push_back(seq_sp.handle_frame(round[f], SimTime{r * 1'000'000}));
+      const bool journaled = seq_log.records_appended() > records;
+      EXPECT_EQ(seq_backend.appends() - appends, journaled ? 1u : 0u)
+          << "round " << r << " frame " << f;
+      if (f >= first_submit) {
+        open.emplace_back(submitters[f - first_submit],
+                          challenge_tx_id(replies.back()));
+      }
+    }
+    rounds.push_back(std::move(round));
+    seq_replies.push_back(std::move(replies));
+  }
+
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    const std::uint64_t records = batch_log.records_appended();
+    const std::size_t appends = batch_backend.appends();
+    const std::vector<BytesView> frames(rounds[r].begin(), rounds[r].end());
+    const std::vector<Bytes> replies = batch_sp.handle_frame_batch(
+        frames, SimTime{static_cast<std::int64_t>(r) * 1'000'000});
+    EXPECT_EQ(replies, seq_replies[r]) << "round " << r;
+    // Every round opens transactions, so every batch journals.
+    EXPECT_GT(batch_log.records_appended(), records) << "round " << r;
+    EXPECT_EQ(batch_backend.appends() - appends, 1u) << "round " << r;
+  }
+  EXPECT_LT(batch_backend.appends(), seq_backend.appends());
+
+  ASSERT_FALSE(seq_backend.read_journal().empty());
+  EXPECT_EQ(batch_backend.read_journal(), seq_backend.read_journal());
+  EXPECT_EQ(batch_log.records_appended(), seq_log.records_appended());
+  EXPECT_EQ(batch_log.next_seq(), seq_log.next_seq());
+}
+
+TEST(GroupCommit, TornBatchFailsEveryReplyAndRetransmitsSettleOnce) {
+  // A drained batch of 8 TxConfirms and 1 TxSubmit commits as ONE
+  // append. Tear it in the middle of its 3rd record: no reply of the
+  // batch may be released, recovery keeps exactly the two whole records
+  // before the tear, and the clients' retransmits then settle every
+  // confirm exactly once.
+  ProbeBackend* probe = nullptr;
+  cluster::ClusterConfig cc;
+  cc.num_shards = 1;
+  cc.svc.max_batch = 16;
+  cc.svc.sp.require_trusted_path = false;
+  cc.compact_journal_bytes = 0;  // keep the whole history in the journal
+  cc.durable_backend_factory =
+      [&probe](std::uint32_t) -> std::unique_ptr<store::StorageBackend> {
+    auto backend = std::make_unique<ProbeBackend>();
+    probe = backend.get();
+    return backend;
+  };
+  cluster::VerifierCluster cluster(cc);
+  cluster.start();
+  ASSERT_NE(probe, nullptr);
+
+  const auto client = [](int i) {
+    return "gc-batch-client-" + std::to_string(i);
+  };
+  std::vector<std::uint64_t> tx;
+  for (int i = 0; i < 8; ++i) {
+    const auto challenge = cluster.call(
+        client(i), submit_frame(client(i), "pay " + std::to_string(i)));
+    ASSERT_EQ(challenge.status, svc::SvcStatus::kOk);
+    tx.push_back(challenge_tx_id(challenge.frame));
+  }
+  // One acked confirm outside the batch; it also measures the size of a
+  // settle record (fixed: sessions serialize at a fixed width).
+  const std::string warm = "gc-batch-warm";
+  const auto warm_challenge = cluster.call(warm, submit_frame(warm, "warm"));
+  ASSERT_EQ(warm_challenge.status, svc::SvcStatus::kOk);
+  const std::uint64_t before_settle = probe->appended_total();
+  const auto warm_result = cluster.call(
+      warm, confirm_frame(warm, challenge_tx_id(warm_challenge.frame)));
+  ASSERT_EQ(warm_result.status, svc::SvcStatus::kOk);
+  ASSERT_TRUE(result_accepted(warm_result.frame));
+  const std::uint64_t settle_bytes = probe->appended_total() - before_settle;
+  std::uint64_t acked_accepts = 1;
+
+  // Park the worker inside one more commit, so the whole batch is queued
+  // behind it and drains as one handle_frame_batch call.
+  probe->hold_next_append();
+  const std::string blocker = "gc-batch-blocker";
+  auto blocked = cluster.submit(blocker, submit_frame(blocker, "blocker"));
+  probe->wait_until_held();
+
+  std::vector<std::string> ids;
+  std::vector<Bytes> batch;
+  for (int i = 0; i < 8; ++i) {
+    if (i == 4) {
+      ids.push_back(client(8));
+      batch.push_back(submit_frame(client(8), "pay inside the batch"));
+    }
+    ids.push_back(client(i));
+    batch.push_back(confirm_frame(client(i), tx[i]));
+  }
+  std::vector<std::future<svc::SvcResponse>> replies;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    replies.push_back(cluster.submit(ids[i], batch[i]));
+  }
+  while (cluster.shard_service(0).queued() < batch.size()) {
+    std::this_thread::yield();
+  }
+  const std::size_t records_before =
+      store::decode_journal(probe->read_journal()).records.size();
+  cluster.kill_shard(0, probe->appended_total() + 2 * settle_bytes +
+                            settle_bytes / 2);
+  probe->release();
+
+  EXPECT_EQ(blocked.get().status, svc::SvcStatus::kOk);
+  for (auto& reply : replies) {
+    EXPECT_EQ(reply.get().status, svc::SvcStatus::kShutdown);
+  }
+  EXPECT_TRUE(cluster.shard_crashed(0));
+  const store::JournalDecode torn =
+      store::decode_journal(probe->read_journal());
+  EXPECT_EQ(torn.records.size(), records_before + 2);
+  EXPECT_TRUE(torn.truncated_tail);
+
+  // Recovery folds in exactly the whole records: the settles of the first
+  // two confirms are durable (though never acked); the torn third is not.
+  cluster.restart_shard(0);
+  obs::Registry& metrics = cluster.shard_service(0).metrics();
+  EXPECT_EQ(metrics.counter("sp.shard0.recovery.replayed_records").value(),
+            records_before + 2);
+  EXPECT_EQ(metrics.counter("sp.shard0.recovery.truncated_tail").value(),
+            settle_bytes / 2);
+  EXPECT_EQ(cluster.stats().tx_accepted, acked_accepts + 2);
+
+  // The clients retransmit: the two durable confirms answer from their
+  // cached replies, the rest execute now. A second retransmit of every
+  // frame changes nothing.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const auto reply = cluster.call(ids[i], batch[i]);
+      ASSERT_EQ(reply.status, svc::SvcStatus::kOk) << "frame " << i;
+      if (i == 4) continue;  // the TxSubmit
+      EXPECT_TRUE(result_accepted(reply.frame)) << "frame " << i;
+      if (pass == 0) ++acked_accepts;
+    }
+    EXPECT_EQ(cluster.stats().tx_accepted, acked_accepts) << "pass " << pass;
+  }
+  EXPECT_EQ(acked_accepts, 9u);
+  cluster.drain();
 }
 
 // -------------------------------------------------------- cluster chaos

@@ -4,6 +4,7 @@
 // grid rather than at hand-picked points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -260,6 +261,15 @@ struct ConfirmCase {
   std::uint32_t max_attempts;
   const char* chip;
 };
+
+// Prints a case from its fields. gtest would otherwise print the raw bytes,
+// chip pointer included, and gtest_discover_tests puts the printed value in
+// the ctest name, which then changed from run to run.
+void PrintTo(const ConfirmCase& c, std::ostream* os) {
+  std::string chip = c.chip;
+  std::replace(chip.begin(), chip.end(), ' ', '_');
+  *os << chip << "_len" << c.code_len << "_tries" << c.max_attempts;
+}
 
 class ConfirmGrid : public ::testing::TestWithParam<ConfirmCase> {};
 

@@ -12,9 +12,9 @@
 //     ShardState; any single-byte damage is a typed hard error (there
 //     is no safe prefix of a snapshot).
 //   - Log: DurableLog positions the seq cursor past what it recovered,
-//     a torn append does not consume a seq, and the compaction crash
-//     window ("snapshot written, journal not yet truncated") replays
-//     zero already-covered records.
+//     a torn append or multi-record commit does not consume a seq, and
+//     the compaction crash window ("snapshot written, journal not yet
+//     truncated") replays zero already-covered records.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -505,6 +505,59 @@ TEST(DurableLog, TornAppendDoesNotConsumeASeq) {
   EXPECT_EQ(reader.recovery_stats().replayed_records, 1u);
   EXPECT_EQ(reader.recovery_stats().truncated_tail_bytes, 5u);
   EXPECT_EQ(reader.next_seq(), 2u);
+
+  // A torn multi-record commit spends no seq either, even though the
+  // backend kept its first record whole; the staged remainder is dropped.
+  const Bytes kept = store::encode_record(
+      2, RecordType::kReplayDigest,
+      store::replay_digest_body(30, make_digest(3)));
+  backend.crash_at_bytes(backend.appended_total() + kept.size() + 5);
+  log.stage(RecordType::kReplayDigest,
+            store::replay_digest_body(30, make_digest(3)));
+  log.stage(RecordType::kReplayDigest,
+            store::replay_digest_body(40, make_digest(4)));
+  log.stage(RecordType::kReplayDigest,
+            store::replay_digest_body(50, make_digest(5)));
+  EXPECT_THROW(log.commit(), CrashInjected);
+  EXPECT_EQ(log.next_seq(), 2u);
+  backend.clear_crash_point();
+  const std::uint64_t after_tear = backend.appended_total();
+  log.commit();  // nothing left staged
+  EXPECT_EQ(backend.appended_total(), after_tear);
+
+  // A record staged after the tear, by a frame whose reply can never
+  // leave, must not ride along with the next incarnation's first commit.
+  log.stage(RecordType::kReplayDigest,
+            store::replay_digest_body(55, make_digest(9)));
+
+  // Recovery on the same log moves the cursor past the whole record the
+  // tear kept, and later commits continue the seq space without a gap.
+  ASSERT_TRUE(log.recover().ok());
+  EXPECT_EQ(log.recovery_stats().replayed_records, 1u);
+  EXPECT_EQ(log.next_seq(), 3u);
+  log.stage(RecordType::kReplayDigest,
+            store::replay_digest_body(60, make_digest(6)));
+  log.stage(RecordType::kReplayDigest,
+            store::replay_digest_body(70, make_digest(7)));
+  log.commit();
+  log.append(RecordType::kReplayDigest,
+             store::replay_digest_body(80, make_digest(8)));
+  EXPECT_EQ(log.next_seq(), 6u);
+  const JournalDecode journal = store::decode_journal(backend.read_journal());
+  ASSERT_TRUE(journal.clean());
+  ASSERT_EQ(journal.records.size(), 3u);
+  for (std::size_t i = 0; i < journal.records.size(); ++i) {
+    EXPECT_EQ(journal.records[i].seq, 3u + i);
+  }
+
+  DurableLog last(config);
+  auto everything = last.recover();
+  ASSERT_TRUE(everything.ok());
+  const std::vector<ReplayDigest> expected = {
+      make_digest(1), make_digest(3), make_digest(6), make_digest(7),
+      make_digest(8)};
+  EXPECT_EQ(everything.value().replay_digests, expected);
+  EXPECT_EQ(last.next_seq(), 6u);
 }
 
 TEST(DurableLog, AppendsAfterATornTailSurviveTheNextRecovery) {
@@ -590,7 +643,13 @@ TEST(DurableLog, ShouldCompactTracksTheConfiguredJournalBound) {
                store::replay_digest_body(10, make_digest(3)));
   }
   EXPECT_GE(backend.journal_bytes(), 64u);
+  // compact() commits what is staged before it stamps the snapshot.
+  log.stage(RecordType::kReplayDigest,
+            store::replay_digest_body(20, make_digest(4)));
+  const std::uint64_t seq = log.next_seq();
   log.compact(ShardState{});
+  EXPECT_EQ(log.next_seq(), seq + 1);
+  EXPECT_EQ(backend.journal_bytes(), 0u);
   EXPECT_FALSE(log.should_compact());
 
   // A corrupt snapshot is a hard typed error -- recovery must refuse,
