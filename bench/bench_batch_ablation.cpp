@@ -7,23 +7,14 @@
 // adds only one signature per extra transaction. This harness quantifies
 // the amortization on every chip, plus the user-side effect (one code
 // entry instead of N).
-// A second section (F10) turns the same question toward the server: the
-// SP-side verifier-batch ablation, accepts/sec for RSA (TPM 1.2) and
-// ECDSA (TPM 2.0) confirmation streams at verify-batch sizes 1/4/16/64
-// through ServiceProvider::complete_transaction_batch, in real time.
-#include <chrono>
 #include <cstdio>
-#include <span>
 #include <vector>
 
 #include "core/trusted_path_pal.h"
 #include "devices/human.h"
 #include "pal/human_agent.h"
-#include "pal/session.h"
 #include "sp/deployment.h"
-#include "sp/service_provider.h"
 #include "tpm/chip_profile.h"
-#include "tpm/privacy_ca.h"
 
 using namespace tp;
 
@@ -69,126 +60,6 @@ Point run_batch(const std::string& chip, std::size_t batch_size) {
   };
 }
 
-// ---- F10: SP-side verifier-batch ablation ------------------------------
-
-/// Types whatever code the PAL displays (a perfectly obedient user).
-class ScriptedCodeAgent : public pal::UserAgent {
- public:
-  std::optional<SimDuration> on_prompt(const devices::DisplayContent& screen,
-                                       devices::Keyboard& kb) override {
-    kb.press_line(devices::KeySource::kPhysical,
-                  screen.find_field(devices::kFieldCode));
-    return SimDuration::seconds(3);
-  }
-};
-
-/// One SP with one enrolled platform of the given backend, plus a
-/// minting helper -- the same corpus construction bench_sp_throughput
-/// uses for F3, kept self-contained here.
-struct SpHarness {
-  explicit SpHarness(tpm::QuoteFormat backend)
-      : ca(bytes_of("f10-ca"), 1024), sp(make_config(ca)) {
-    drtm::PlatformConfig pc;
-    pc.platform_id = "client-0";
-    pc.seed = bytes_of(std::string("f10-platform-") +
-                       tpm::quote_format_name(backend));
-    pc.tpm_key_bits = 1024;
-    pc.backend = backend;
-    platform = std::make_unique<drtm::Platform>(pc);
-    driver = std::make_unique<pal::SessionDriver>(*platform);
-    driver->set_user_agent(&agent);
-
-    const core::EnrollChallenge challenge =
-        sp.begin_enrollment(core::EnrollBegin{"client-0"});
-    core::PalEnrollInput in;
-    in.nonce = challenge.nonce;
-    in.key_bits = 1024;
-    auto session = driver->run(core::make_trusted_path_pal(), in.marshal());
-    auto out = core::PalEnrollOutput::unmarshal(session.value().output);
-    sealed_key = out.value().sealed_key;
-    core::EnrollComplete complete;
-    complete.client_id = "client-0";
-    complete.format = backend;
-    complete.confirmation_pubkey = out.value().pubkey;
-    complete.quote = out.value().quote;
-    if (backend == tpm::QuoteFormat::kTpm2) {
-      complete.aik_certificate =
-          ca.certify_key("client-0",
-                         tpm::AttestationKey::of(platform->tpm2().ak_public()))
-              .serialize();
-    } else {
-      complete.aik_certificate =
-          ca.certify("client-0", platform->tpm().aik_public()).serialize();
-    }
-    if (!sp.complete_enrollment(complete).accepted) std::abort();
-  }
-
-  static sp::SpConfig make_config(const tpm::PrivacyCa& ca) {
-    sp::SpConfig cfg;
-    cfg.golden_pcr17 = core::golden_pcr17();
-    cfg.ca_public = ca.public_key();
-    cfg.accepted_policies = {
-        core::attestation_policy(drtm::DrtmTechnology::kAmdSkinit),
-        core::attestation_policy(drtm::DrtmTechnology::kAmdSkinit, {},
-                                 tpm::QuoteFormat::kTpm2),
-    };
-    return cfg;
-  }
-
-  core::TxConfirm mint(std::uint64_t i) {
-    core::TxSubmit submit{"client-0", "pay " + std::to_string(i),
-                          Bytes(64, 1)};
-    const core::TxChallenge challenge = sp.begin_transaction(submit);
-    core::PalConfirmInput in;
-    in.tx_summary = submit.summary;
-    in.tx_digest = submit.digest();
-    in.nonce = challenge.nonce;
-    in.sealed_key = sealed_key;
-    auto session = driver->run(core::make_trusted_path_pal(), in.marshal());
-    auto out = core::PalConfirmOutput::unmarshal(session.value().output);
-    core::TxConfirm confirm;
-    confirm.client_id = "client-0";
-    confirm.tx_id = challenge.tx_id;
-    confirm.verdict = out.value().verdict;
-    confirm.signature = out.value().signature;
-    return confirm;
-  }
-
-  tpm::PrivacyCa ca;
-  sp::ServiceProvider sp;
-  ScriptedCodeAgent agent;
-  std::unique_ptr<drtm::Platform> platform;
-  std::unique_ptr<pal::SessionDriver> driver;
-  Bytes sealed_key;
-};
-
-/// Best-of-3 accepts/sec settling `total` pre-minted confirmations in
-/// verify batches of `batch_size` (fresh corpus per rep -- confirmations
-/// are one-shot).
-double run_sp_batch(SpHarness& h, std::uint64_t& minted,
-                    std::size_t batch_size, std::size_t total) {
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    std::vector<core::TxConfirm> corpus;
-    corpus.reserve(total);
-    for (std::size_t i = 0; i < total; ++i) corpus.push_back(h.mint(minted++));
-    const auto start = std::chrono::steady_clock::now();
-    std::size_t accepted = 0;
-    for (std::size_t off = 0; off < corpus.size(); off += batch_size) {
-      const std::size_t n = std::min(batch_size, corpus.size() - off);
-      const auto results = h.sp.complete_transaction_batch(
-          std::span<const core::TxConfirm>(corpus.data() + off, n));
-      for (const auto& r : results) accepted += r.accepted ? 1 : 0;
-    }
-    const double secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    if (accepted != total) std::abort();
-    best = std::max(best, total / secs);
-  }
-  return best;
-}
-
 }  // namespace
 
 int main() {
@@ -212,25 +83,6 @@ int main() {
       "Shape check: per-transaction machine cost falls roughly as 1/N\n"
       "(the session overhead amortizes; only the per-item signature\n"
       "remains), and the user's one code entry amortizes the same way --\n"
-      "batching is how a deployment makes heavy-TPM chips practical.\n\n");
-
-  std::printf("=== F10 (ablation): SP-side verifier batch ===\n");
-  std::printf("(real accepts/sec, best of 3, 128 confirmations per rep)\n\n");
-  std::printf("%8s  %14s  %14s\n", "batch", "rsa acc/s", "ecdsa acc/s");
-  SpHarness rsa(tpm::QuoteFormat::kTpm12);
-  SpHarness ecdsa(tpm::QuoteFormat::kTpm2);
-  std::uint64_t minted_rsa = 0, minted_ec = 0;
-  for (std::size_t size : {1u, 4u, 16u, 64u}) {
-    const double r = run_sp_batch(rsa, minted_rsa, size, 128);
-    const double e = run_sp_batch(ecdsa, minted_ec, size, 128);
-    std::printf("%8zu  %14.0f  %14.0f\n", size, r, e);
-  }
-  std::printf(
-      "\nShape check: the gathered verify pass amortizes the statement\n"
-      "hashing, metrics flush and (for ECDSA) the modular inversions; the\n"
-      "per-item modexp / scalar multiplication is untouched, so the curve\n"
-      "flattens where the signature kernel dominates. The queue-drain +\n"
-      "group-commit amortization is measured by bench_svc_throughput's\n"
-      "max_batch rows.\n");
+      "batching is how a deployment makes heavy-TPM chips practical.\n");
   return 0;
 }

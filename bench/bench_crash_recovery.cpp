@@ -4,9 +4,8 @@
 // record is appended inside the frame path, before the reply leaves the
 // building. This experiment prices that contract from both ends:
 //
-//   - Steady-state overhead. bench_svc_throughput's best batched row
-//     (1 worker on this single-core host, max_batch 16 -- the gathered
-//     signature-verify drain), re-run identically with and without a
+//   - Steady-state overhead. A bench_svc_throughput batched-drain row
+//     (1 worker, max_batch 16), re-run identically with and without a
 //     DurableLog attached to the shard. This is the number the <= 15%
 //     acceptance bound is about: journaling amortized into the deployed
 //     serving path. A second, signature-free raw row (trusted-path

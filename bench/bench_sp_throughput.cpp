@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/trusted_path_pal.h"
@@ -276,50 +275,6 @@ static void BM_SpAcceptPath(benchmark::State& state) {
 }
 BENCHMARK(BM_SpAcceptPath)->Arg(0)->Arg(1)->Arg(2)->Unit(
     benchmark::kMillisecond);
-
-static void BM_SpAcceptBatch(benchmark::State& state) {
-  // Experiment F10: the batched accept pipeline against BM_SpAcceptPath
-  // (same genuine-confirmation corpus, same direct-call level), in
-  // verify batches of range(1): each chunk shares one gathered
-  // signature pass (multi-buffer statement hashing, batch-inverted
-  // interleaved ECDSA walks, gathered RSA screens) and one metrics
-  // flush. range(0): 0 = all-1.2 (RSA), 1 = all-2.0 (ECDSA). Chunk
-  // size 1 is the no-batching control: the pipeline with nothing to
-  // amortize.
-  static Fixture rsa_fixture({tpm::QuoteFormat::kTpm12});
-  static Fixture ec_fixture({tpm::QuoteFormat::kTpm2});
-  Fixture& fixture = *(state.range(0) == 0 ? &rsa_fixture : &ec_fixture);
-  const std::size_t chunk = static_cast<std::size_t>(state.range(1));
-  constexpr std::size_t kCorpus = 64;
-  std::uint64_t minted = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<TxConfirm> corpus;
-    corpus.reserve(kCorpus);
-    for (std::size_t i = 0; i < kCorpus; ++i) {
-      corpus.push_back(fixture.mint(minted++));
-    }
-    state.ResumeTiming();
-    for (std::size_t off = 0; off < corpus.size(); off += chunk) {
-      const std::size_t n = std::min(chunk, corpus.size() - off);
-      benchmark::DoNotOptimize(fixture.sp.complete_transaction_batch(
-          std::span<const TxConfirm>(corpus.data() + off, n)));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kCorpus);
-  state.SetLabel(std::string(state.range(0) == 0 ? "rsa" : "ecdsa") +
-                 " accepts, verify batch " + std::to_string(chunk));
-}
-BENCHMARK(BM_SpAcceptBatch)
-    ->Args({0, 1})
-    ->Args({0, 4})
-    ->Args({0, 16})
-    ->Args({0, 64})
-    ->Args({1, 1})
-    ->Args({1, 4})
-    ->Args({1, 16})
-    ->Args({1, 64})
-    ->Unit(benchmark::kMillisecond);
 
 static void BM_SpRejectPath(benchmark::State& state) {
   static Fixture fixture({tpm::QuoteFormat::kTpm12});

@@ -37,9 +37,12 @@
 #include "pal/session.h"
 #include "sp/fleet.h"
 #include "svc/verifier_service.h"
+#include "svc_rows.h"
 
 using namespace tp;
 using namespace tp::core;
+using tp::bench::ConfigResult;
+using tp::bench::rps_of;
 
 namespace {
 
@@ -53,38 +56,6 @@ class ScriptedCodeAgent : public pal::UserAgent {
     return SimDuration::seconds(3);
   }
 };
-
-struct ConfigResult {
-  std::size_t workers = 0;
-  std::size_t queue_depth = 0;
-  std::size_t max_batch = 0;
-  double rps = 0.0;
-  std::string json;  // the row exactly as printed (sans newline)
-};
-
-/// The requests/s of the one row with this full key. Aborts unless
-/// exactly one row matches, so a summary can never silently divide rows
-/// from different sweeps.
-double rps_of(const std::vector<ConfigResult>& results, std::size_t workers,
-              std::size_t queue_depth, std::size_t max_batch) {
-  const ConfigResult* match = nullptr;
-  std::size_t matches = 0;
-  for (const ConfigResult& r : results) {
-    if (r.workers == workers && r.queue_depth == queue_depth &&
-        r.max_batch == max_batch) {
-      match = &r;
-      ++matches;
-    }
-  }
-  if (matches != 1) {
-    std::fprintf(stderr,
-                 "FATAL: %zu rows match workers=%zu queue_depth=%zu "
-                 "max_batch=%zu\n",
-                 matches, workers, queue_depth, max_batch);
-    std::abort();
-  }
-  return match->rps;
-}
 
 /// Mints one genuine pending-at-service confirmation for fleet member `i`.
 Bytes mint_confirm_frame(sp::Fleet& fleet, svc::VerifierService& service,
@@ -245,7 +216,7 @@ int main(int argc, char** argv) {
   }
   // F10 batched-drain sweep at 4 workers (max_batch=1 is the worker
   // sweep's row): one wakeup drains up to max_batch frames, amortizing
-  // the queue hand-off and sharing one gathered verify pass.
+  // the queue hand-off.
   for (const std::size_t mb : {4u, 16u, 64u}) {
     results.push_back(
         run_config(/*workers=*/4, /*queue_depth=*/256, mb, requests));

@@ -406,22 +406,7 @@ void VerifierCluster::replay_parked(std::vector<ParkedFrame> parked) {
 sp::SpStats VerifierCluster::stats() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   sp::SpStats total;
-  for (const auto& m : members_) {
-    const sp::SpStats s = m->service->stats();
-    total.enrolled += s.enrolled;
-    total.enroll_rejected += s.enroll_rejected;
-    total.tx_accepted += s.tx_accepted;
-    total.tx_rejected += s.tx_rejected;
-    for (std::size_t i = 0; i < tpm::kNumQuoteFormats; ++i) {
-      total.enrolled_by_format[i] += s.enrolled_by_format[i];
-      total.tx_accepted_by_format[i] += s.tx_accepted_by_format[i];
-    }
-    for (std::size_t i = 0; i < proto::kRejectCodeCount; ++i) {
-      total.rejects_by_code[i] += s.rejects_by_code[i];
-    }
-    total.sessions_evicted += s.sessions_evicted;
-    total.sessions_expired += s.sessions_expired;
-  }
+  for (const auto& m : members_) total += m->service->stats();
   return total;
 }
 

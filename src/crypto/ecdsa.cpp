@@ -1,12 +1,10 @@
 #include "crypto/ecdsa.h"
 
-#include <memory>
 #include <optional>
 #include <utility>
 
 #include "crypto/drbg.h"
 #include "crypto/sha256.h"
-#include "crypto/sha256_mb.h"
 
 namespace tp::crypto {
 namespace {
@@ -197,83 +195,6 @@ Status EcdsaVerifyContext::verify(BytesView message,
     return malformed("EcdsaVerifyContext: signature mismatch");
   }
   return Status();
-}
-
-std::vector<Status> ecdsa_verify_batch(std::span<const EcdsaBatchItem> items) {
-  const std::size_t n = items.size();
-  std::vector<Status> out(n);
-
-  // Gathered digest pass: equal-length messages (the common case -- SP
-  // confirmation statements share one wire shape) ride the 4-way
-  // multi-buffer kernel.
-  std::vector<BytesView> msgs(n);
-  for (std::size_t i = 0; i < n; ++i) msgs[i] = items[i].message;
-  std::vector<Sha256Digest> digests(n);
-  sha256_many(msgs.data(), n, digests.data());
-
-  // Screening pass: items that fail statelessly (invalid key, malformed
-  // signature) settle now with the exact single-verify error; the rest
-  // join the batched point walk.
-  struct Live {
-    std::size_t index;
-    U256 r, s, e;
-  };
-  std::vector<Live> live;
-  live.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::optional<p256::WindowTable>* table =
-        items[i].ctx ? &items[i].ctx->table_ : nullptr;
-    if (!table || !*table) {
-      out[i] = malformed("EcdsaVerifyContext: invalid public key");
-      continue;
-    }
-    const auto sig = parse_signature(items[i].signature);
-    if (!sig) {
-      out[i] = malformed("EcdsaVerifyContext: malformed signature");
-      continue;
-    }
-    const U256 e = digest_to_scalar(digests[i]);
-    live.push_back(Live{i, sig->r, sig->s, e});
-  }
-  const std::size_t k = live.size();
-  if (k == 0) return out;
-
-  // Montgomery's batch-inversion trick: one variable-time inversion of
-  // the product of all s values, unwound into every w = s^-1 with three
-  // multiplies per item. Sound because parse_signature guarantees each
-  // s is in [1, n), so the running product never vanishes.
-  std::vector<U256> prefix(k);
-  U256 acc = live[0].s;
-  prefix[0] = acc;
-  for (std::size_t j = 1; j < k; ++j) {
-    acc = p256::mul_mod_n(acc, live[j].s);
-    prefix[j] = acc;
-  }
-  U256 inv = p256::inv_mod_n_vartime(acc);  // s values are public
-  std::vector<U256> w(k);
-  for (std::size_t j = k; j-- > 1;) {
-    w[j] = p256::mul_mod_n(inv, prefix[j - 1]);
-    inv = p256::mul_mod_n(inv, live[j].s);
-  }
-  w[0] = inv;
-
-  std::vector<U256> u1(k), u2(k), rs(k);
-  std::vector<const p256::WindowTable*> tables(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    u1[j] = p256::mul_mod_n(live[j].e, w[j]);
-    u2[j] = p256::mul_mod_n(live[j].r, w[j]);
-    rs[j] = live[j].r;
-    tables[j] = &*items[live[j].index].ctx->table_;
-  }
-  const auto ok = std::make_unique<bool[]>(k);
-  p256::verify_r_match_batch(tables.data(), u1.data(), u2.data(), rs.data(), k,
-                             ok.get());
-  for (std::size_t j = 0; j < k; ++j) {
-    if (!ok[j]) {
-      out[live[j].index] = malformed("EcdsaVerifyContext: signature mismatch");
-    }
-  }
-  return out;
 }
 
 }  // namespace tp::crypto

@@ -17,8 +17,6 @@
 
 #include <functional>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "crypto/p256.h"
 #include "util/bytes.h"
@@ -77,12 +75,12 @@ Result<Bytes> ecdsa_sign_digest_with_k(const EcdsaPrivateKey& key,
 Status ecdsa_verify(const EcdsaPublicKey& key, BytesView message,
                     BytesView signature);
 
-struct EcdsaBatchItem;
-
 /// Per-key verification context: precomputes a fixed-base window table
-/// for the public point (~61 KiB, built once per enrollment) so each
-/// verify is ~128 mixed point additions with no doublings and no final
-/// field inversion. Verdict-identical to ecdsa_verify.
+/// for the public point (p256::WindowTable, ~510 KiB, built once per
+/// enrollment) so each verify walks at most 22 + 32 = 54 table entries
+/// -- the shared generator comb plus the per-key table -- as mixed point
+/// additions with no doublings and no final field inversion.
+/// Verdict-identical to ecdsa_verify.
 ///
 /// Immutable after construction; safe to share across threads.
 class EcdsaVerifyContext {
@@ -102,30 +100,8 @@ class EcdsaVerifyContext {
   Status verify(BytesView message, BytesView signature) const;
 
  private:
-  friend std::vector<Status> ecdsa_verify_batch(
-      std::span<const EcdsaBatchItem> items);
   EcdsaPublicKey key_;
   std::optional<p256::WindowTable> table_;
 };
-
-/// One item of a batched verification: a cached context plus the message
-/// and r||s signature to check against it.
-struct EcdsaBatchItem {
-  const EcdsaVerifyContext* ctx = nullptr;
-  BytesView message;
-  BytesView signature;
-};
-
-/// Verifies every item and returns one status per item, in order --
-/// decision-equivalent (bit for bit, including error kinds) to calling
-/// item.ctx->verify(item.message, item.signature) one by one, but with
-/// the per-item fixed costs amortized across the batch: message digests
-/// run through the 4-way multi-buffer SHA-256, the per-item modular
-/// inversion of s collapses to ONE inversion plus three multiplies per
-/// item (Montgomery's batch-inversion trick -- sound because every
-/// parsed s is nonzero), and the window-table walks run interleaved
-/// with a randomized-linear-combination accept check and bisection
-/// isolation of bad signatures (p256::verify_r_match_batch).
-std::vector<Status> ecdsa_verify_batch(std::span<const EcdsaBatchItem> items);
 
 }  // namespace tp::crypto

@@ -1,6 +1,5 @@
 #include "crypto/p256.h"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <vector>
@@ -1133,254 +1132,6 @@ bool verify_r_match(const WindowTable& q_table, const U256& u1,
     if (eq4(cand, acc.x)) return true;
   }
   return false;
-}
-
-// ---- batched verification ----------------------------------------------
-//
-// A solo verify walk is one serial dependency chain: every mixed addition
-// waits on the previous one, and each field multiply inside an addition
-// waits on the one before it, so the wide multiplier spends most cycles
-// stalled on latency. Batching breaks that: up to four items' walks run
-// in lockstep, with each field operation issued for all four lanes before
-// the next dependent operation of any lane -- four independent chains
-// that the out-of-order core overlaps freely. The decision side is
-// amortized too: each item collapses to a projective residual (zero
-// exactly when its signature matches), the residuals fold into one
-// randomized linear combination checked with a single comparison, and a
-// bisection over the stored per-item terms pinpoints the offending
-// indices when the combined check fails.
-
-namespace {
-
-constexpr int kVerifyLanes = 4;
-/// Upper bound on table entries one walk touches: 22 comb windows plus
-/// 32 per-key windows.
-constexpr int kMaxWalkAdds = G12Comb::kWindows + 32;
-
-/// Lockstep mixed addition: one pt_add_affine step applied to up to four
-/// independent (accumulator, table entry) pairs selected by `mask`.
-/// Operation-major order -- each loop issues the same field operation
-/// for every active lane -- keeps consecutive instructions free of data
-/// dependencies. Exceptional cases (infinity accumulator, doubling,
-/// cancellation) peel the affected lane off to the scalar formulas, so
-/// results match pt_add_affine bit for bit.
-void pt_add_affine_lanes(JacPt* const acc[kVerifyLanes],
-                         const AffPt* const q[kVerifyLanes], unsigned mask) {
-  const Mont& m = mont_p();
-  for (int l = 0; l < kVerifyLanes; ++l) {
-    if (!((mask >> l) & 1u)) continue;
-    if (is_zero4(acc[l]->z)) {
-      copy4(acc[l]->x, q[l]->x);
-      copy4(acc[l]->y, q[l]->y);
-      copy4(acc[l]->z, m.one);
-      mask &= ~(1u << l);
-    }
-  }
-  u64 z1z1[kVerifyLanes][4], u2[kVerifyLanes][4], s2[kVerifyLanes][4];
-  u64 h[kVerifyLanes][4], r[kVerifyLanes][4], t[kVerifyLanes][4];
-  for (int l = 0; l < kVerifyLanes; ++l)
-    if ((mask >> l) & 1u) mont_sqr_p(acc[l]->z, z1z1[l]);
-  for (int l = 0; l < kVerifyLanes; ++l)
-    if ((mask >> l) & 1u) mont_mul_p(q[l]->x, z1z1[l], u2[l]);
-  for (int l = 0; l < kVerifyLanes; ++l)
-    if ((mask >> l) & 1u) mont_mul_p(acc[l]->z, z1z1[l], t[l]);
-  for (int l = 0; l < kVerifyLanes; ++l)
-    if ((mask >> l) & 1u) mont_mul_p(q[l]->y, t[l], s2[l]);
-  for (int l = 0; l < kVerifyLanes; ++l) {
-    if (!((mask >> l) & 1u)) continue;
-    mod_sub(m, u2[l], acc[l]->x, h[l]);
-    mod_sub(m, s2[l], acc[l]->y, r[l]);
-    if (is_zero4(h[l])) {
-      if (is_zero4(r[l])) {
-        pt_double(*acc[l], *acc[l]);
-      } else {
-        *acc[l] = jac_infinity();
-      }
-      mask &= ~(1u << l);
-    }
-  }
-  u64 h2[kVerifyLanes][4], h3[kVerifyLanes][4], v[kVerifyLanes][4];
-  u64 x3[kVerifyLanes][4], y3[kVerifyLanes][4];
-  for (int l = 0; l < kVerifyLanes; ++l)
-    if ((mask >> l) & 1u) mont_sqr_p(h[l], h2[l]);
-  for (int l = 0; l < kVerifyLanes; ++l)
-    if ((mask >> l) & 1u) mont_mul_p(h[l], h2[l], h3[l]);
-  for (int l = 0; l < kVerifyLanes; ++l)
-    if ((mask >> l) & 1u) mont_mul_p(acc[l]->x, h2[l], v[l]);
-  for (int l = 0; l < kVerifyLanes; ++l)
-    if ((mask >> l) & 1u) mont_sqr_p(r[l], x3[l]);
-  for (int l = 0; l < kVerifyLanes; ++l) {
-    if (!((mask >> l) & 1u)) continue;
-    mod_sub(m, x3[l], h3[l], x3[l]);
-    mod_sub(m, x3[l], v[l], x3[l]);
-    mod_sub(m, x3[l], v[l], x3[l]);  // x3 = r^2 - h^3 - 2v
-    mod_sub(m, v[l], x3[l], t[l]);
-  }
-  for (int l = 0; l < kVerifyLanes; ++l)
-    if ((mask >> l) & 1u) mont_mul_p(r[l], t[l], y3[l]);
-  for (int l = 0; l < kVerifyLanes; ++l)
-    if ((mask >> l) & 1u) mont_mul_p(acc[l]->y, h3[l], t[l]);
-  for (int l = 0; l < kVerifyLanes; ++l)
-    if ((mask >> l) & 1u) mont_mul_p(acc[l]->z, h[l], acc[l]->z);
-  for (int l = 0; l < kVerifyLanes; ++l) {
-    if (!((mask >> l) & 1u)) continue;
-    mod_sub(m, y3[l], t[l], acc[l]->y);  // y3 = r(v - x3) - y1 h^3
-    copy4(acc[l]->x, x3[l]);
-  }
-}
-
-/// Projective residual of an accumulated R against r: a field element
-/// that is zero exactly when verify_r_match would accept. When both
-/// candidates r and r + n are below p the residual is the product of
-/// the two differences (zero iff either matches); the point at infinity
-/// rejects, so it maps to a fixed nonzero value.
-void r_match_residual(const JacPt& acc, const U256& r, u64 out[4]) {
-  const Mont& m = mont_p();
-  if (is_zero4(acc.z)) {
-    copy4(out, m.one);
-    return;
-  }
-  u64 zz[4], rm[4], cand[4], d1[4];
-  mont_mul_p(acc.z, acc.z, zz);
-  to_mont(m, r.w, rm);
-  mont_mul_p(rm, zz, cand);
-  mod_sub(m, acc.x, cand, d1);
-  u64 rn[4];
-  if (add4(rn, r.w, kN) == 0 && !geq4(rn, kP)) {
-    u64 d2[4];
-    to_mont(m, rn, rm);
-    mont_mul_p(rm, zz, cand);
-    mod_sub(m, acc.x, cand, d2);
-    mont_mul_p(d1, d2, out);
-  } else {
-    copy4(out, d1);
-  }
-}
-
-inline u64 splitmix64(u64 x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Bisection over the stored linear-combination terms. A range whose
-/// partial sum vanishes is accepted wholesale once its members' own
-/// residuals confirm it (they are already in hand, so the confirmation
-/// is three OR-words per item and closes the 2^-64 false-accept window
-/// a pure sum test would leave); everything else splits in half, down
-/// to single items decided by their own residual -- which is exactly
-/// the single-verify condition, making the batch decision bit-for-bit
-/// the sequential one while the sums steer the search straight to the
-/// offending indices.
-void isolate_bad(const std::vector<std::array<u64, 4>>& terms,
-                 const std::vector<std::array<u64, 4>>& residuals,
-                 std::size_t lo, std::size_t hi, bool* out) {
-  if (hi - lo == 1) {
-    out[lo] = is_zero4(residuals[lo].data());
-    return;
-  }
-  const Mont& m = mont_p();
-  u64 sum[4] = {0, 0, 0, 0};
-  bool clean = true;
-  for (std::size_t i = lo; i < hi; ++i) {
-    mod_add(m, sum, terms[i].data(), sum);
-    clean = clean && is_zero4(residuals[i].data());
-  }
-  if (is_zero4(sum) && clean) {
-    for (std::size_t i = lo; i < hi; ++i) out[i] = true;
-    return;
-  }
-  const std::size_t mid = lo + (hi - lo) / 2;
-  isolate_bad(terms, residuals, lo, mid, out);
-  isolate_bad(terms, residuals, mid, hi, out);
-}
-
-}  // namespace
-
-void verify_r_match_batch(const WindowTable* const* q_tables, const U256* u1,
-                          const U256* u2, const U256* r, std::size_t count,
-                          bool* out) {
-  if (count == 0) return;
-  const G12Comb& g = g12_comb();
-
-  // RLC coefficients, derived deterministically from every scalar in the
-  // batch: an adversary fixing one signature cannot choose its
-  // coefficient independently of the rest of the batch.
-  u64 seed = 0x243f6a8885a308d3ull;  // pi -- nothing up the sleeve
-  for (std::size_t i = 0; i < count; ++i) {
-    for (int w = 0; w < 4; ++w) {
-      seed = splitmix64(seed ^ u1[i].w[w]);
-      seed = splitmix64(seed ^ u2[i].w[w]);
-      seed = splitmix64(seed ^ r[i].w[w]);
-    }
-  }
-
-  std::vector<std::array<u64, 4>> residuals(count);
-  std::vector<std::array<u64, 4>> terms(count);
-  std::size_t base = 0;
-  while (base < count) {
-    const int lanes =
-        static_cast<int>(std::min<std::size_t>(kVerifyLanes, count - base));
-    // Gather each lane's table entries up front (prefetching as we go,
-    // like the solo walk): the walk then needs no digit logic, just a
-    // pointer list per lane, and lanes of different lengths simply drop
-    // out of the lockstep loop early.
-    const AffPt* entries[kVerifyLanes][kMaxWalkAdds];
-    int len[kVerifyLanes] = {0, 0, 0, 0};
-    JacPt accs[kVerifyLanes];
-    JacPt* accp[kVerifyLanes];
-    for (int l = 0; l < lanes; ++l) {
-      const std::size_t i = base + static_cast<std::size_t>(l);
-      int n = 0;
-      for (int j = 0; j < G12Comb::kWindows; ++j) {
-        const unsigned d1 = window_digit12(u1[i], j);
-        if (d1) {
-          entries[l][n] = &g.row(j)[d1 - 1];
-          __builtin_prefetch(entries[l][n]);
-          ++n;
-        }
-      }
-      for (int j = 0; j < 32; ++j) {
-        const unsigned d2 = window_digit8(u2[i], j);
-        if (d2) {
-          entries[l][n] = &q_tables[i]->impl_->pts[j][d2 - 1];
-          __builtin_prefetch(entries[l][n]);
-          ++n;
-        }
-      }
-      len[l] = n;
-      accs[l] = jac_infinity();
-      accp[l] = &accs[l];
-    }
-    for (int l = lanes; l < kVerifyLanes; ++l) accp[l] = &accs[l];
-    int max_len = 0;
-    for (int l = 0; l < lanes; ++l) max_len = std::max(max_len, len[l]);
-    const AffPt* q[kVerifyLanes] = {nullptr, nullptr, nullptr, nullptr};
-    for (int step = 0; step < max_len; ++step) {
-      unsigned mask = 0;
-      for (int l = 0; l < lanes; ++l) {
-        if (step < len[l]) {
-          q[l] = entries[l][step];
-          mask |= 1u << l;
-        }
-      }
-      pt_add_affine_lanes(accp, q, mask);
-    }
-    for (int l = 0; l < lanes; ++l) {
-      const std::size_t i = base + static_cast<std::size_t>(l);
-      r_match_residual(accs[l], r[i], residuals[i].data());
-      // Montgomery multiply drops an R factor from z_i * D_i; harmless,
-      // the term is zero exactly when the residual is.
-      const u64 z[4] = {splitmix64(seed + i) | 1u, 0, 0, 0};
-      mont_mul_p(z, residuals[i].data(), terms[i].data());
-    }
-    base += static_cast<std::size_t>(lanes);
-  }
-
-  // Happy path: one comparison accepts the whole batch. Anything else
-  // bisects to the offending items.
-  isolate_bad(terms, residuals, 0, count, out);
 }
 
 }  // namespace tp::crypto::p256

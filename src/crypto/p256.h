@@ -119,9 +119,6 @@ class WindowTable {
  private:
   friend bool verify_r_match(const WindowTable&, const U256&, const U256&,
                              const U256&);
-  friend void verify_r_match_batch(const WindowTable* const*, const U256*,
-                                   const U256*, const U256*, std::size_t,
-                                   bool*);
   friend AffinePoint table_scalar_mul(const WindowTable&, const U256&);
   struct Impl;
   std::unique_ptr<Impl> impl_;
@@ -133,22 +130,6 @@ class WindowTable {
 /// r + n < p). Returns false when R is the point at infinity.
 bool verify_r_match(const WindowTable& q_table, const U256& u1,
                     const U256& u2, const U256& r);
-
-/// Batched verify_r_match: item i checks u1[i]*G + u2[i]*Q_i against
-/// r[i], where Q_i is q_tables[i]'s base (tables may repeat or differ
-/// per item). Decision-equivalent to `count` calls of verify_r_match,
-/// bit for bit, but amortized three ways: the window-table walks of up
-/// to four items run interleaved in lockstep (independent dependency
-/// chains fill the multiplier pipeline that a solo walk leaves half
-/// idle), each item is reduced to a projective residual that is zero
-/// exactly when its signature matches, and the residuals are folded
-/// into one randomized linear combination whose single zero test accepts
-/// the whole batch -- with a bisection over the stored per-item terms
-/// isolating exactly the offending indices when the combined check
-/// fails. Writes out[i] = accept for each item.
-void verify_r_match_batch(const WindowTable* const* q_tables, const U256* u1,
-                          const U256* u2, const U256* r, std::size_t count,
-                          bool* out);
 
 /// k * B through an arbitrary window table (exposed for tests).
 AffinePoint table_scalar_mul(const WindowTable& table, const U256& k);

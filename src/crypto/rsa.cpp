@@ -5,7 +5,6 @@
 
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
-#include "crypto/sha256_mb.h"
 #include "util/serial.h"
 
 namespace tp::crypto {
@@ -29,9 +28,9 @@ Bytes digest_info(HashAlg alg, BytesView message) {
   throw std::logic_error("digest_info: bad alg");
 }
 
-// EMSA-PKCS1-v1_5 encoding of a prebuilt DigestInfo:
-// 0x00 0x01 FF..FF 0x00 DigestInfo.
-Result<Bytes> emsa_encode_info(BytesView t, std::size_t em_len) {
+// EMSA-PKCS1-v1_5 encoding: 0x00 0x01 FF..FF 0x00 DigestInfo.
+Result<Bytes> emsa_encode(HashAlg alg, BytesView message, std::size_t em_len) {
+  const Bytes t = digest_info(alg, message);
   if (em_len < t.size() + 11) {
     return Error{Err::kCryptoError, "emsa_encode: modulus too small"};
   }
@@ -43,10 +42,6 @@ Result<Bytes> emsa_encode_info(BytesView t, std::size_t em_len) {
   em.push_back(0x00);
   append(em, t);
   return em;
-}
-
-Result<Bytes> emsa_encode(HashAlg alg, BytesView message, std::size_t em_len) {
-  return emsa_encode_info(digest_info(alg, message), em_len);
 }
 
 // Private-key operation m^d mod n via the CRT (about 3-4x faster than a
@@ -207,94 +202,6 @@ Status RsaVerifyContext::verify(HashAlg alg, BytesView message,
   }
   const BigInt m = mont_->mod_exp(s, key_.e);
   return check_recovered(m, alg, message, k_);
-}
-
-std::vector<Status> rsa_verify_batch(std::span<const RsaBatchItem> items) {
-  const std::size_t n = items.size();
-  std::vector<Status> out(n);
-
-  // Gathered digest pass: the SHA-256 items (every TPM 1.2 confirmation
-  // in practice) ride the 4-way multi-buffer kernel; SHA-1 items fall
-  // back to the scalar hash.
-  std::vector<Bytes> info(n);
-  {
-    std::vector<BytesView> msgs;
-    std::vector<std::size_t> idx;
-    msgs.reserve(n);
-    idx.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (items[i].alg == HashAlg::kSha256) {
-        msgs.push_back(items[i].message);
-        idx.push_back(i);
-      } else {
-        info[i] = digest_info(items[i].alg, items[i].message);
-      }
-    }
-    std::vector<Sha256Digest> digests(msgs.size());
-    sha256_many(msgs.data(), msgs.size(), digests.data());
-    for (std::size_t j = 0; j < idx.size(); ++j) {
-      info[idx[j]] = concat(kSha256Prefix, digests[j]);
-    }
-  }
-
-  // Structural screen plus the per-item exponentiation. The modulus
-  // differs per key, so the heavy multiply chain cannot merge across
-  // items -- what batching buys here is the shared context (cached
-  // Montgomery constants, one small-exponent ladder shape for the
-  // fleet-wide e = 65537) and deferring every padding comparison into
-  // one gathered pass below.
-  struct Pending {
-    std::size_t index;
-    Bytes recovered;
-    Bytes expected;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const RsaVerifyContext* ctx = items[i].ctx;
-    if (ctx == nullptr) {
-      out[i] = Error{Err::kAuthFail, "rsa_verify: missing context"};
-      continue;
-    }
-    if (!ctx->mont_.has_value()) {
-      // Degenerate-modulus fallback, identical to the single path.
-      out[i] = rsa_verify(ctx->key_, items[i].alg, items[i].message,
-                          items[i].signature);
-      continue;
-    }
-    if (items[i].signature.size() != ctx->k_) {
-      out[i] = Error{Err::kAuthFail, "rsa_verify: bad signature length"};
-      continue;
-    }
-    const BigInt s = BigInt::from_bytes_be(items[i].signature);
-    if (s >= ctx->key_.n) {
-      out[i] =
-          Error{Err::kAuthFail, "rsa_verify: representative out of range"};
-      continue;
-    }
-    const BigInt m = ctx->mont_->mod_exp(s, ctx->key_.e);
-    auto expected = emsa_encode_info(info[i], ctx->k_);
-    if (!expected.ok()) {
-      out[i] = expected.error();
-      continue;
-    }
-    pending.push_back(Pending{i, m.to_bytes_be(ctx->k_), expected.take()});
-  }
-
-  // Batched padding check: one accumulation pass over the gathered
-  // recovered/expected pairs, constant-time within each item like
-  // ct_equal on the single path.
-  for (const Pending& p : pending) {
-    std::uint8_t diff = 0;
-    for (std::size_t b = 0; b < p.recovered.size(); ++b) {
-      diff = static_cast<std::uint8_t>(diff | (p.recovered[b] ^ p.expected[b]));
-    }
-    out[p.index] = diff != 0
-                       ? Status(Error{Err::kAuthFail,
-                                      "rsa_verify: signature mismatch"})
-                       : Status();
-  }
-  return out;
 }
 
 Result<Bytes> rsa_encrypt(

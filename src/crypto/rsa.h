@@ -7,8 +7,6 @@
 
 #include <functional>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "crypto/bignum.h"
 #include "util/bytes.h"
@@ -80,33 +78,10 @@ class RsaVerifyContext {
   Status verify(HashAlg alg, BytesView message, BytesView signature) const;
 
  private:
-  friend std::vector<Status> rsa_verify_batch(
-      std::span<const struct RsaBatchItem> items);
   RsaPublicKey key_;
   std::size_t k_;  // modulus length in bytes
   std::optional<MontgomeryCtx> mont_;
 };
-
-/// One item of a batched verification: a cached context plus the hash
-/// algorithm, message and signature to check against it.
-struct RsaBatchItem {
-  const RsaVerifyContext* ctx = nullptr;
-  HashAlg alg = HashAlg::kSha256;
-  BytesView message;
-  BytesView signature;
-};
-
-/// Verifies every item and returns one status per item, in order --
-/// verdict-identical to calling item.ctx->verify(...) one by one. The
-/// modular exponentiation is irreducibly per-key (each item's modulus
-/// differs), but the fixed costs around it gather: SHA-256 DigestInfo
-/// digests run through the 4-way multi-buffer kernel, the structural
-/// length/range screens complete over the whole batch before any
-/// exponentiation starts, and the recovered-message padding comparison
-/// is one constant-time accumulation pass over the gathered batch.
-/// Items sharing a context reuse its cached Montgomery constants and
-/// the shared small-exponent ladder shape (e = 65537 -> 17 multiplies).
-std::vector<Status> rsa_verify_batch(std::span<const RsaBatchItem> items);
 
 /// RSAES-PKCS1-v1_5 encryption; plaintext must be <= modulus_bytes - 11.
 Result<Bytes> rsa_encrypt(const RsaPublicKey& key, BytesView plaintext,

@@ -121,15 +121,13 @@ Invariant sp_handle_enroll_complete(World& w, std::uint8_t frame,
 
   proto::SpSettleInput in;
   in.state = to_state(*s.state);
-  in.session_live = true;
-  in.session_found = true;
   in.need_verify = screen.need_verify;
   in.verify_ok = evidence_ok;
   in.pre_reject = screen.reject;
   in.idempotent = true;
   const proto::SpSettle settle =
       proto::sp_settle_complete(SessionPhase::kEnroll, in);
-  if (settle.state_valid && !bugs.drop_settle_apply) {
+  if (!bugs.drop_settle_apply) {
     *s.state = static_cast<std::uint8_t>(settle.next_state);
   }
   Invariant violated = Invariant::kNone;
@@ -189,8 +187,6 @@ Invariant sp_handle_tx_confirm(World& w, std::uint8_t frame,
 
   proto::SpSettleInput in;
   in.state = to_state(*s.state);
-  in.session_live = true;
-  in.session_found = true;
   in.need_verify = screen.need_verify;
   in.verify_ok = sig_ok;
   in.pre_reject = screen.reject;
@@ -198,7 +194,7 @@ Invariant sp_handle_tx_confirm(World& w, std::uint8_t frame,
   in.idempotent = true;
   const proto::SpSettle settle =
       proto::sp_settle_complete(SessionPhase::kConfirm, in);
-  if (settle.state_valid && !bugs.drop_settle_apply) {
+  if (!bugs.drop_settle_apply) {
     *s.state = static_cast<std::uint8_t>(settle.next_state);
   }
   Invariant violated = Invariant::kNone;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string_view>
 
 #include "proto/reject_code.h"
@@ -42,12 +41,6 @@ class CryptoPort {
   /// removed.
   using ConfirmHandle = const void*;
 
-  struct ConfirmItem {
-    ConfirmHandle handle = nullptr;
-    BytesView statement;
-    BytesView signature;
-  };
-
   virtual ~CryptoPort() = default;
 
   /// Full enrollment-evidence check -- certificate chain, quote
@@ -65,12 +58,6 @@ class CryptoPort {
   /// One confirmation-signature check over `statement`.
   virtual bool verify_confirmation(ConfirmHandle handle, BytesView statement,
                                    BytesView signature) = 0;
-
-  /// Batched form; ok_out[i] receives item i's verdict. The real backend
-  /// gathers the items into one tpm::attestation_verify_batch call
-  /// (multi-buffer hashing, batch-inverted ECDSA, gathered RSA screens).
-  virtual void verify_confirmation_batch(std::span<const ConfirmItem> items,
-                                         bool* ok_out) = 0;
 };
 
 }  // namespace tp::proto

@@ -217,16 +217,14 @@ constexpr SpScreen sp_screen_complete(const SpCompleteFacts& facts) {
   return out;
 }
 
-/// Everything the settle decision consumes. `state` / `session_found`
-/// describe the slot as re-found at settle time (prepares of other batch
-/// items may have moved or consumed it); `pre_reject` is the screen's
-/// first failing check; `verify_reject` is the code a failed signature
-/// check maps to (kBadSignature for confirmations, the crypto port's
-/// first-failing evidence code for enrollments).
+/// Everything the settle decision consumes, for a session the gate let
+/// through (misses and terminal holds reject at the gate and never
+/// settle). `state` is the slot's state after the gate; `pre_reject` is
+/// the screen's first failing check; `verify_reject` is the code a
+/// failed signature check maps to (kBadSignature for confirmations, the
+/// crypto port's first-failing evidence code for enrollments).
 struct SpSettleInput {
   SessionState state = SessionState::kIdle;
-  bool session_live = false;
-  bool session_found = false;
   bool need_verify = false;
   bool verify_ok = false;
   RejectCode pre_reject = RejectCode::kNone;
@@ -235,7 +233,6 @@ struct SpSettleInput {
 };
 
 struct SpSettle {
-  bool state_valid = false;
   SessionState next_state = SessionState::kIdle;
   bool accepted = false;
   bool record_signature = false;  // insert into the replay cache
@@ -251,24 +248,13 @@ constexpr SpSettle sp_settle_complete(SessionPhase phase,
   if (verdict == RejectCode::kNone && in.need_verify && !in.verify_ok) {
     verdict = in.verify_reject;
   }
-  if (!in.session_live) {
-    // Miss / terminal-guard: reject without a settle step or an erase,
-    // exactly like the pre-core code.
-    out.reject = verdict;
-    out.actions.push(SpActionKind::kCountReject, verdict);
-    out.actions.push(SpActionKind::kSendFrame);
-    return out;
-  }
-  if (in.session_found) {
-    const Step settle = step(phase, in.state,
-                             verdict == RejectCode::kNone
-                                 ? SessionEvent::kVerifyOk
-                                 : SessionEvent::kVerifyFail);
-    out.state_valid = true;
-    out.next_state = settle.next;
-    out.accepted = settle.action == SessionAction::kAccept;
-    out.actions.push(SpActionKind::kApplyState);
-  }
+  const Step settle = step(phase, in.state,
+                           verdict == RejectCode::kNone
+                               ? SessionEvent::kVerifyOk
+                               : SessionEvent::kVerifyFail);
+  out.next_state = settle.next;
+  out.accepted = settle.action == SessionAction::kAccept;
+  out.actions.push(SpActionKind::kApplyState);
   if (!in.idempotent) {
     // One-shot: replay of this challenge dies here. Idempotent mode
     // holds the terminal session instead; a re-sent kComplete hits the
@@ -326,15 +312,6 @@ constexpr SpRetransmit sp_screen_complete_retransmit(const SpReplayView& v) {
     return SpRetransmit::kReplayResponse;
   }
   return SpRetransmit::kRetryMismatch;
-}
-
-// ---- batching ---------------------------------------------------------
-
-/// Whether a gathered TxConfirm run must settle before admitting the
-/// next confirm: a second confirm for the same session slot, or a
-/// re-sent signature, must observe the first one's settlement.
-constexpr bool sp_must_flush(bool duplicate_tx_id, bool duplicate_signature) {
-  return duplicate_tx_id || duplicate_signature;
 }
 
 }  // namespace tp::proto

@@ -159,19 +159,4 @@ bool AttestationCryptoPort::verify_confirmation(ConfirmHandle handle,
   return ctx->verify(crypto::HashAlg::kSha256, statement, signature).ok();
 }
 
-void AttestationCryptoPort::verify_confirmation_batch(
-    std::span<const ConfirmItem> items, bool* ok_out) {
-  std::vector<tpm::AttestationBatchItem> gathered;
-  gathered.reserve(items.size());
-  for (const ConfirmItem& item : items) {
-    gathered.push_back(
-        {static_cast<const tpm::AttestationVerifyContext*>(item.handle),
-         crypto::HashAlg::kSha256, item.statement, item.signature});
-  }
-  const std::vector<Status> verdicts = tpm::attestation_verify_batch(gathered);
-  for (std::size_t i = 0; i < verdicts.size(); ++i) {
-    ok_out[i] = verdicts[i].ok();
-  }
-}
-
 }  // namespace tp::sp

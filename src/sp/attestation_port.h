@@ -6,8 +6,8 @@
 // Montgomery context for RSA moduli, window tables for P-256 points --
 // built once at enrollment so the per-transaction verify skips that
 // setup). verify_enrollment runs the four evidence checks the seed ran,
-// per quote format; the confirmation paths feed the cached contexts to
-// tpm::attestation_verify / attestation_verify_batch.
+// per quote format; verify_confirmation checks one signature against the
+// client's cached tpm::AttestationVerifyContext.
 #pragma once
 
 #include <string>
@@ -36,8 +36,6 @@ class AttestationCryptoPort final : public proto::CryptoPort {
   std::uint8_t format_of(ConfirmHandle handle) const override;
   bool verify_confirmation(ConfirmHandle handle, BytesView statement,
                            BytesView signature) override;
-  void verify_confirmation_batch(std::span<const ConfirmItem> items,
-                                 bool* ok_out) override;
 
   // ---- backend-specific surface (shell bookkeeping & handoff) ----
   bool is_enrolled(const std::string& client_id) const {

@@ -277,12 +277,11 @@ EnrollResult ServiceProvider::complete_enrollment(const EnrollComplete& msg) {
   // same answer.
   const proto::SpSettle settle = proto::sp_settle_complete(
       kEnrollPhase,
-      proto::SpSettleInput{session->state, /*session_live=*/true,
-                           /*session_found=*/true, screen.need_verify,
+      proto::SpSettleInput{session->state, screen.need_verify,
                            evidence == proto::RejectCode::kNone,
                            screen.reject, /*verify_reject=*/evidence,
                            config_.idempotent_replies});
-  if (settle.state_valid) session->state = settle.next_state;
+  session->state = settle.next_state;
   if (settle.erase_session) enroll_sessions_.erase(key);
   publish_session_metrics();
   if (settle.accepted) {
@@ -312,39 +311,13 @@ TxChallenge ServiceProvider::begin_transaction(const TxSubmit& msg) {
   return challenge;
 }
 
-/// Outcome of the pre-signature stage of one TxConfirm. The check order
-/// lives in proto::sp_screen_complete (the seed's: binding, policy knob,
-/// enrollment, human verdict, replay backstop, signature); this struct
-/// carries its verdict plus the gathered verify inputs to the settle.
-struct ServiceProvider::PreparedConfirm {
-  const core::TxConfirm* msg = nullptr;
-  proto::SessionTable::Key key{};
-  /// The session exists and was stepped to kVerifying; settle must
-  /// apply the verify outcome (and erase in one-shot mode). False for
-  /// the miss / terminal-guard paths, which reject without a settle
-  /// step -- exactly like the pre-pipeline code.
-  bool session_live = false;
-  /// A signature check is pending; verify_ok carries its verdict.
-  bool need_verify = false;
-  bool verify_ok = false;
-  bool verified_by_trusted_path = false;
-  /// First failed pre-signature check (kNone when all passed).
-  proto::RejectCode reject = proto::RejectCode::kNone;
-  /// Which backend's key signs the confirmation (unset in baseline
-  /// mode, where no signature is checked).
-  std::optional<tpm::QuoteFormat> format;
-  proto::CryptoPort::ConfirmHandle handle = nullptr;
-  Bytes statement;
-};
-
-void ServiceProvider::prepare_confirm(const TxConfirm& msg,
-                                      PreparedConfirm& prep) {
-  prep.msg = &msg;
+TxResult ServiceProvider::complete_transaction(const TxConfirm& msg) {
+  obs::ScopedTimer timer(*h_tx_);
   const SimTime now = session_now();
-  prep.key = proto::SessionTable::tx_key(msg.tx_id);
+  const proto::SessionTable::Key key = proto::SessionTable::tx_key(msg.tx_id);
   bool deadline_passed = false;
   proto::SessionTable::Session* session =
-      tx_sessions_.find(prep.key, now, &deadline_passed);
+      tx_sessions_.find(key, now, &deadline_passed);
 
   // Stage A: the gate -- session miss and the terminal-hold guard reject
   // here (same guard as enrollment: a settled session refuses a fresh
@@ -356,13 +329,14 @@ void ServiceProvider::prepare_confirm(const TxConfirm& msg,
                                               : proto::SessionState::kIdle});
   if (gate.state_valid) session->state = gate.next_state;
   if (!gate.session_live) {
-    prep.reject = gate.reject;
-    return;
+    publish_session_metrics();
+    return reject_tx(msg.tx_id, gate.reject);
   }
-  prep.session_live = true;
 
   // Stage B: gather the pre-signature facts (all side-effect-free
-  // lookups) and let the screen order the checks.
+  // lookups) and let the screen order the checks -- the seed's order:
+  // binding, policy knob, enrollment, human verdict, replay backstop,
+  // signature.
   const proto::CryptoPort::ConfirmHandle handle =
       crypto_.confirm_handle(msg.client_id);
   proto::SpCompleteFacts facts;
@@ -376,124 +350,48 @@ void ServiceProvider::prepare_confirm(const TxConfirm& msg,
                              ? proto::SpCompleteFacts::Verdict::kRejected
                              : proto::SpCompleteFacts::Verdict::kTimeout);
   // Defence in depth: a signature is never accepted twice even if the
-  // one-shot challenge logic were bypassed. (Batches flush on duplicate
-  // signature bytes, so this screen sees every earlier accept.)
+  // one-shot challenge logic were bypassed.
   facts.signature_replayed = seen_signatures_.contains(msg.signature);
-
   const proto::SpScreen screen = proto::sp_screen_complete(facts);
-  prep.verified_by_trusted_path = screen.verified_by_trusted_path;
-  prep.reject = screen.reject;
-  if (!screen.need_verify) return;
-  prep.statement = confirmation_statement(
-      BytesView(session->tx_digest.data(), session->tx_digest.size()),
-      session->nonce_view(), Verdict::kConfirmed);
-  prep.handle = handle;
-  prep.format = static_cast<tpm::QuoteFormat>(crypto_.format_of(handle));
-  prep.need_verify = true;
-}
 
-TxResult ServiceProvider::settle_confirm(PreparedConfirm& prep) {
-  const TxConfirm& msg = *prep.msg;
-  // Re-find by key (live sessions only -- the miss/guard paths never
-  // touch the table again): prepares of other batch items may have moved
-  // slots (backward-shift deletion), but with distinct keys and an
-  // unchanged timeline this session is still live.
-  proto::SessionTable::Session* session =
-      prep.session_live ? tx_sessions_.find(prep.key, session_now()) : nullptr;
+  // Stage C: the one check the paper's SP relies on -- the genuine PAL's
+  // signature over this session's challenge.
+  bool verify_ok = false;
+  if (screen.need_verify) {
+    verify_ok = crypto_.verify_confirmation(
+        handle,
+        confirmation_statement(
+            BytesView(session->tx_digest.data(), session->tx_digest.size()),
+            session->nonce_view(), Verdict::kConfirmed),
+        msg.signature);
+  }
+
+  // Stage D: settle. Terminal either way; one-shot mode releases the
+  // slot (replay of this challenge dies here), idempotent mode holds the
+  // terminal session so a re-sent kComplete hits the guard above (or the
+  // response cache on the frame path), with the signature replay cache
+  // still backstopping a re-verify.
   const proto::SpSettle settle = proto::sp_settle_complete(
       kConfirmPhase,
-      proto::SpSettleInput{
-          session != nullptr ? session->state : proto::SessionState::kIdle,
-          prep.session_live, session != nullptr, prep.need_verify,
-          prep.verify_ok, prep.reject, proto::RejectCode::kBadSignature,
-          config_.idempotent_replies});
-  if (!prep.session_live) return reject_tx(msg.tx_id, settle.reject);
-  if (settle.state_valid) session->state = settle.next_state;
-  if (settle.erase_session) {
-    // One-shot: replay of this challenge dies here. Idempotent mode
-    // holds the terminal session instead; a re-sent kComplete hits the
-    // guard above (or the response cache on the frame path) and the
-    // signature replay cache still backstops a re-verify.
-    tx_sessions_.erase(prep.key);
-  }
-  if (settle.accepted) {
-    if (settle.record_signature) seen_signatures_.insert(msg.signature);
-    c_tx_accepted_->inc();
-    if (prep.format.has_value()) {
-      c_tx_accepted_fmt_[tpm::quote_format_index(*prep.format)]->inc();
-    }
-    return TxResult{msg.tx_id, true,
-                    prep.verified_by_trusted_path
-                        ? "confirmed by human via trusted path"
-                        : "accepted without verification"};
-  }
-  return reject_tx(msg.tx_id, settle.reject);
-}
-
-TxResult ServiceProvider::complete_transaction(const TxConfirm& msg) {
-  obs::ScopedTimer timer(*h_tx_);
-  PreparedConfirm prep;
-  prepare_confirm(msg, prep);
-  if (prep.need_verify) {
-    prep.verify_ok =
-        crypto_.verify_confirmation(prep.handle, prep.statement,
-                                    msg.signature);
-  }
-  TxResult result = settle_confirm(prep);
+      proto::SpSettleInput{session->state, screen.need_verify, verify_ok,
+                           screen.reject, proto::RejectCode::kBadSignature,
+                           config_.idempotent_replies});
+  session->state = settle.next_state;
+  if (settle.erase_session) tx_sessions_.erase(key);
   publish_session_metrics();
-  return result;
-}
-
-std::vector<TxResult> ServiceProvider::complete_transaction_batch(
-    std::span<const TxConfirm> msgs) {
-  std::vector<TxResult> out;
-  out.reserve(msgs.size());
-  std::size_t base = 0;
-  while (base < msgs.size()) {
-    // Grow the run while tx ids and signature bytes stay pairwise
-    // distinct -- the same commutation condition the frame-level flush
-    // enforces (a duplicate would observe the earlier item's session or
-    // replay-cache write).
-    std::size_t end = base + 1;
-    for (; end < msgs.size(); ++end) {
-      bool conflict = false;
-      for (std::size_t i = base; i < end && !conflict; ++i) {
-        conflict = proto::sp_must_flush(
-            msgs[i].tx_id == msgs[end].tx_id,
-            msgs[i].signature == msgs[end].signature);
-      }
-      if (conflict) break;
-    }
-    const std::size_t n = end - base;
-    obs::ScopedTimer timer(*h_tx_);
-    std::vector<PreparedConfirm> preps(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      prepare_confirm(msgs[base + i], preps[i]);
-    }
-    std::vector<proto::CryptoPort::ConfirmItem> items;
-    std::vector<std::size_t> item_of;
-    items.reserve(n);
-    item_of.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!preps[i].need_verify) continue;
-      items.push_back({preps[i].handle, preps[i].statement,
-                       msgs[base + i].signature});
-      item_of.push_back(i);
-    }
-    if (!items.empty()) {
-      const auto ok = std::make_unique<bool[]>(items.size());
-      crypto_.verify_confirmation_batch(items, ok.get());
-      for (std::size_t j = 0; j < item_of.size(); ++j) {
-        preps[item_of[j]].verify_ok = ok[j];
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(settle_confirm(preps[i]));
-    }
-    publish_session_metrics();
-    base = end;
+  if (!settle.accepted) return reject_tx(msg.tx_id, settle.reject);
+  if (settle.record_signature) seen_signatures_.insert(msg.signature);
+  c_tx_accepted_->inc();
+  if (screen.need_verify) {
+    // Baseline mode (no signature checked) has no backend to attribute.
+    c_tx_accepted_fmt_[tpm::quote_format_index(static_cast<tpm::QuoteFormat>(
+                           crypto_.format_of(handle)))]
+        ->inc();
   }
-  return out;
+  return TxResult{msg.tx_id, true,
+                  screen.verified_by_trusted_path
+                      ? "confirmed by human via trusted path"
+                      : "accepted without verification"};
 }
 
 HandoffBundle ServiceProvider::extract_for_handoff(
@@ -933,152 +831,9 @@ std::vector<Bytes> ServiceProvider::handle_frame_batch(
 
 std::vector<Bytes> ServiceProvider::handle_frame_batch(
     std::span<const BytesView> frames) {
-  std::vector<Bytes> out(frames.size());
-  const bool idem = config_.idempotent_replies;
-
-  // A run of parsed TxConfirm frames awaiting the gathered signature
-  // stage. Guaranteed pairwise-distinct tx ids and signature bytes (the
-  // flush rules below), so their prepares and settles commute with each
-  // other and the run is equivalent to sequential processing.
-  struct PendingTx {
-    std::size_t frame_index;
-    TxConfirm msg;
-    Bytes payload;  // for the idempotency digest
-  };
-  std::vector<PendingTx> pending;
-
-  const auto flush = [&]() {
-    if (pending.empty()) return;
-    obs::ScopedTimer timer(*h_tx_);
-    const std::size_t n = pending.size();
-    std::vector<PreparedConfirm> preps(n);
-    std::vector<char> settled(n, 0);
-
-    // Stage one, in frame order: idempotent-replay screening (terminal
-    // sessions answer from their response cache, mismatched retries get
-    // the typed reject) and the pre-signature checks.
-    for (std::size_t i = 0; i < n; ++i) {
-      PendingTx& p = pending[i];
-      if (idem) {
-        const proto::SessionTable::Key key =
-            proto::SessionTable::tx_key(p.msg.tx_id);
-        const proto::SessionTable::Key digest =
-            proto::SessionTable::payload_key(p.payload);
-        const proto::SessionTable::Session* held =
-            tx_sessions_.find(key, session_now());
-        const proto::SpRetransmit verdict =
-            proto::sp_screen_complete_retransmit(replay_view(held, digest));
-        if (verdict == proto::SpRetransmit::kReplayResponse) {
-          c_replayed_result_->inc();
-          out[p.frame_index] = replay_response(*held);
-          settled[i] = 1;
-          continue;
-        }
-        if (verdict == proto::SpRetransmit::kRetryMismatch) {
-          out[p.frame_index] =
-              envelope(MsgType::kTxResult,
-                       reject_tx(p.msg.tx_id,
-                                 proto::RejectCode::kRetryMismatch)
-                           .serialize());
-          settled[i] = 1;
-          continue;
-        }
-      }
-      prepare_confirm(p.msg, preps[i]);
-    }
-
-    // Stage two: every signature that survived stage one, verified in
-    // one batched call (multi-buffer statement hashing, batch-inverted
-    // interleaved ECDSA walks, gathered RSA screens -- mixed fleets get
-    // both fast paths).
-    std::vector<proto::CryptoPort::ConfirmItem> items;
-    std::vector<std::size_t> item_of;
-    items.reserve(n);
-    item_of.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (settled[i] || !preps[i].need_verify) continue;
-      items.push_back({preps[i].handle, preps[i].statement,
-                       pending[i].msg.signature});
-      item_of.push_back(i);
-    }
-    if (!items.empty()) {
-      const auto ok = std::make_unique<bool[]>(items.size());
-      crypto_.verify_confirmation_batch(items, ok.get());
-      for (std::size_t j = 0; j < item_of.size(); ++j) {
-        preps[item_of[j]].verify_ok = ok[j];
-      }
-    }
-
-    // Stage three, in frame order: settle each session, cache the
-    // response for retransmits, emit the frame. Session-table gauges
-    // publish once per run instead of once per frame (they only expose
-    // point-in-time levels, which match the sequential end state).
-    for (std::size_t i = 0; i < n; ++i) {
-      if (settled[i]) continue;
-      PendingTx& p = pending[i];
-      const TxResult result = settle_confirm(preps[i]);
-      Bytes resp = envelope(MsgType::kTxResult, result.serialize());
-      if (idem) {
-        cache_response(
-            tx_sessions_.find(proto::SessionTable::tx_key(p.msg.tx_id),
-                              session_now()),
-            proto::SessionTable::payload_key(p.payload), resp);
-      }
-      // One record per frame, staged here and committed with the whole
-      // batch before any reply leaves (the svc worker fails every
-      // promise of a batch whose commit throws).
-      journal_tx_settle(p.msg.tx_id, p.msg, result.accepted);
-      out[p.frame_index] = std::move(resp);
-    }
-    publish_session_metrics();
-    pending.clear();
-  };
-
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    auto opened = open_envelope(frames[f]);
-    if (!opened.ok()) {
-      // Frame-level garbage touches no session or replay state, so the
-      // pending run can keep gathering across it.
-      reject_counter(proto::RejectCode::kMalformedFrame).inc();
-      out[f] = envelope(MsgType::kTxResult,
-                        TxResult{0, false,
-                                 proto::reject_code_message(
-                                     proto::RejectCode::kMalformedFrame),
-                                 proto::RejectCode::kMalformedFrame}
-                            .serialize());
-      continue;
-    }
-    auto& [type, payload] = opened.value();
-    if (type == MsgType::kTxConfirm) {
-      auto msg = TxConfirm::deserialize(payload);
-      if (!msg.ok()) {
-        out[f] = envelope(
-            MsgType::kTxResult,
-            reject_tx(0, proto::RejectCode::kMalformedTxConfirm).serialize());
-        continue;
-      }
-      // Flush rules (proto::sp_must_flush): a second confirm for the
-      // same session slot, or a re-sent signature, must observe the
-      // first one's settlement.
-      bool conflict = false;
-      for (const PendingTx& p : pending) {
-        if (proto::sp_must_flush(p.msg.tx_id == msg.value().tx_id,
-                                 p.msg.signature == msg.value().signature)) {
-          conflict = true;
-          break;
-        }
-      }
-      if (conflict) flush();
-      pending.push_back(PendingTx{f, msg.take(), std::move(payload)});
-      continue;
-    }
-    // Every other frame type can create, recycle or evict sessions:
-    // settle the pending run first, then take the single-frame path
-    // (process_frame: the batch commits once at the end, not per frame).
-    flush();
-    out[f] = process_frame(frames[f]);
-  }
-  flush();
+  std::vector<Bytes> out;
+  out.reserve(frames.size());
+  for (const BytesView frame : frames) out.push_back(process_frame(frame));
   commit_journal();
   return out;
 }

@@ -13,8 +13,8 @@
 // a bounded, deadline-aware proto::SessionTable (one for enrollment
 // keyed by client id, one for confirmation keyed by tx id); every
 // DECISION about a message -- gate, pre-signature screen, settle,
-// retransmission replay, batch flush -- is a pure function in
-// proto/sp_core.h, driven here against real tables and real crypto
+// retransmission replay -- is a pure function in proto/sp_core.h,
+// driven here against real tables and real crypto
 // (proto::CryptoPort -> sp::AttestationCryptoPort) and driven by the
 // model checker (src/model) against symbolic state. Legal transitions
 // come from proto::step, the same pure transition function the client
@@ -186,6 +186,24 @@ struct SpStats {
     return n;
   }
 
+  /// Field-wise sum: how the svc and cluster layers total their shards.
+  SpStats& operator+=(const SpStats& other) {
+    enrolled += other.enrolled;
+    enroll_rejected += other.enroll_rejected;
+    tx_accepted += other.tx_accepted;
+    tx_rejected += other.tx_rejected;
+    for (std::size_t i = 0; i < tpm::kNumQuoteFormats; ++i) {
+      enrolled_by_format[i] += other.enrolled_by_format[i];
+      tx_accepted_by_format[i] += other.tx_accepted_by_format[i];
+    }
+    for (std::size_t i = 0; i < proto::kRejectCodeCount; ++i) {
+      rejects_by_code[i] += other.rejects_by_code[i];
+    }
+    sessions_evicted += other.sessions_evicted;
+    sessions_expired += other.sessions_expired;
+    return *this;
+  }
+
   void reset() { *this = SpStats{}; }
 };
 
@@ -230,19 +248,11 @@ class ServiceProvider {
   /// expiry and protocol-level session expiry share one timeline.
   Bytes handle_frame(BytesView frame, SimTime now);
 
-  /// Batched server loop entry: behaviourally identical to calling
-  /// handle_frame on each element in order (byte-identical responses,
-  /// identical final session/replay/counter state), but runs of
-  /// TxConfirm frames go through a two-stage accept pipeline -- stage
-  /// one parses frames, walks the session FSM and performs every
-  /// non-signature check; stage two verifies the gathered signatures in
-  /// one tpm::attestation_verify_batch call (multi-buffer statement
-  /// hashing, batch-inverted ECDSA walks, gathered RSA padding checks);
-  /// stage three settles each session in order. A pending run is
-  /// flushed early whenever batching could observe different state than
-  /// the sequential path: a non-TxConfirm frame (may create or evict
-  /// sessions), a duplicate tx id (same session slot), or duplicate
-  /// signature bytes (the replay cache must see the earlier insert).
+  /// Batched server loop entry: runs each frame through the same path
+  /// as handle_frame, in order (byte-identical responses, identical
+  /// final session/replay/counter state), then commits the whole call's
+  /// journal records in one backend append before returning -- the
+  /// group commit a svc worker's queue drain pays once per batch.
   std::vector<Bytes> handle_frame_batch(std::span<const BytesView> frames);
   std::vector<Bytes> handle_frame_batch(std::span<const BytesView> frames,
                                         SimTime now);
@@ -252,13 +262,6 @@ class ServiceProvider {
   core::EnrollResult complete_enrollment(const core::EnrollComplete& msg);
   core::TxChallenge begin_transaction(const core::TxSubmit& msg);
   core::TxResult complete_transaction(const core::TxConfirm& msg);
-  /// Message-level counterpart of handle_frame_batch: identical results
-  /// and final state as calling complete_transaction on each element in
-  /// order, with runs of confirms carrying pairwise-distinct tx ids and
-  /// signatures sharing one gathered signature-verification pass (a
-  /// duplicate splits the run, exactly like the frame-level flush).
-  std::vector<core::TxResult> complete_transaction_batch(
-      std::span<const core::TxConfirm> msgs);
 
   bool is_enrolled(const std::string& client_id) const {
     return crypto_.is_enrolled(client_id);
@@ -387,20 +390,6 @@ class ServiceProvider {
     std::uint64_t tx_id = 0;
     std::uint8_t used = 0;
   };
-
-  /// Two-stage TxConfirm pipeline shared by complete_transaction and
-  /// handle_frame_batch. prepare_confirm runs everything up to (not
-  /// including) the signature check -- session lookup, the SpCore gate
-  /// and screen (client binding, enrollment, verdict, replay) -- and
-  /// never holds a session pointer past its return (the open-addressed
-  /// table moves slots on erase). settle_confirm re-finds the session by
-  /// key, asks proto::sp_settle_complete what to apply, and executes its
-  /// actions against the FSM, the replay cache and the counters. Between
-  /// an item's prepare and settle only other confirms with distinct tx
-  /// ids and signatures may run.
-  struct PreparedConfirm;
-  void prepare_confirm(const core::TxConfirm& msg, PreparedConfirm& prep);
-  core::TxResult settle_confirm(PreparedConfirm& prep);
 
   /// handle_frame minus the journal commit (the batch path calls this
   /// per frame and commits once per batch).

@@ -309,14 +309,16 @@ void ShardStateBuilder::add_digest(const ReplayDigest& digest) {
 }
 
 void ShardStateBuilder::add_dedup(const DedupRow& row) {
+  // A re-inserted key moves to the back instead of updating in place:
+  // a row that collided with it in between must not replay after it.
   const std::string k = map_key(row.client) + map_key(row.digest);
-  auto it = dedup_index_.find(k);
-  if (it != dedup_index_.end()) {
-    dedup_[it->second].tx_id = row.tx_id;
-    return;
+  const auto [it, fresh] = dedup_index_.try_emplace(k, dedup_.size());
+  if (!fresh) {
+    dedup_live_[it->second] = false;
+    it->second = dedup_.size();
   }
-  dedup_index_.emplace(k, dedup_.size());
   dedup_.push_back(row);
+  dedup_live_.push_back(true);
 }
 
 Status ShardStateBuilder::apply(const JournalRecord& record) {
@@ -450,7 +452,9 @@ ShardState ShardStateBuilder::take() {
             });
   out.enrolled = std::move(enrolled_);
   out.replay_digests = std::move(digests_);
-  out.dedup = std::move(dedup_);
+  for (std::size_t i = 0; i < dedup_.size(); ++i) {
+    if (dedup_live_[i]) out.dedup.push_back(dedup_[i]);
+  }
   out.source_now_ns = source_now_ns_;
   out.next_tx_id = next_tx_id_;
   out.tx_accepted_total = tx_accepted_total_;

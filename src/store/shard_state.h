@@ -23,6 +23,10 @@
 //     ("snapshot written, journal not yet truncated") safe.
 //   - Counters (next_tx_id, tx_accepted_total, source_now) max-merge, so
 //     replaying any suffix of history lands on the final value.
+//   - Dedup rows come out in journal order, one per (client, digest) key,
+//     at that key's LAST write: restore replays them into the SP's
+//     direct-mapped dedup table, where the last write to a slot must win
+//     over every row that collided with it earlier.
 //
 // Enrolled keys are carried as opaque serialized-AttestationKey blobs:
 // the store layer never parses them, so it depends on proto (session
@@ -60,6 +64,8 @@ struct DedupRow {
   SessionKey client{};
   SessionKey digest{};
   std::uint64_t tx_id = 0;
+
+  bool operator==(const DedupRow& other) const = default;
 };
 
 struct ShardState {
@@ -149,6 +155,7 @@ class ShardStateBuilder {
   std::vector<ReplayDigest> digests_;
   std::unordered_map<std::string, std::size_t> digest_index_;
   std::vector<DedupRow> dedup_;
+  std::vector<bool> dedup_live_;  // false: superseded by a later write
   std::unordered_map<std::string, std::size_t> dedup_index_;
   std::int64_t source_now_ns_ = 0;
   std::uint64_t next_tx_id_ = 0;

@@ -18,7 +18,8 @@
 // buy nothing measurable here (bench_svc_throughput confirms
 // near-linear scaling). pop_batch() is the consumer-side amortizer: one
 // wakeup and one lock round trip hand over every queued request up to
-// the caller's bound, which is what feeds the SP's batched verify plane.
+// the caller's bound, which the worker hands to the SP as one batch
+// (one journal commit per drain on a durable shard).
 #pragma once
 
 #include <condition_variable>
@@ -80,8 +81,8 @@ class BoundedQueue {
   /// Returns the number of items delivered; 0 means closed and drained.
   /// One wakeup per batch instead of per item is the point: on a
   /// contended box the condvar round trip and context switch dominate
-  /// cheap requests, and the batch also feeds downstream gathered
-  /// processing (the SP's batched signature verification).
+  /// cheap requests, and the batch also lets a durable SP commit its
+  /// journal once per drain (group commit).
   std::size_t pop_batch(std::vector<T>& out, std::size_t max_n) {
     out.clear();
     if (max_n == 0) max_n = 1;

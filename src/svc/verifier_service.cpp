@@ -212,7 +212,7 @@ void VerifierService::worker_loop(std::size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   std::vector<Request> batch;
   std::vector<std::size_t> live;        // indices that reach the SP
-  std::vector<BytesView> frames;        // their frames, gathered
+  std::vector<BytesView> frames;        // their frames
   batch.reserve(config_.max_batch);
   live.reserve(config_.max_batch);
   frames.reserve(config_.max_batch);
@@ -220,11 +220,10 @@ void VerifierService::worker_loop(std::size_t shard_index) {
   // One wakeup drains up to max_batch queued requests; everything that
   // survives the per-request deadline/shutdown screens reaches the
   // shard SP as ONE handle_frame_batch call (answer-for-answer
-  // equivalent to per-frame handling, but queued TxConfirm bursts share
-  // a gathered signature-verification pass, and a durable SP commits
-  // the batch's journal records with one write + fdatasync before the
-  // call returns -- so no reply below is released before its record is
-  // on disk).
+  // equivalent to per-frame handling, but a durable SP commits the
+  // batch's journal records with one write + fdatasync before the call
+  // returns -- so no reply below is released before its record is on
+  // disk).
   while (shard.queue->pop_batch(batch, config_.max_batch) > 0) {
     const auto start = Clock::now();
     h_batch_size_->record(batch.size());
@@ -324,22 +323,7 @@ void VerifierService::shutdown_now() {
 
 sp::SpStats VerifierService::stats() const {
   sp::SpStats total;
-  for (const auto& shard : shards_) {
-    const sp::SpStats s = shard->sp->stats_snapshot();
-    total.enrolled += s.enrolled;
-    total.enroll_rejected += s.enroll_rejected;
-    total.tx_accepted += s.tx_accepted;
-    total.tx_rejected += s.tx_rejected;
-    for (std::size_t i = 0; i < tpm::kNumQuoteFormats; ++i) {
-      total.enrolled_by_format[i] += s.enrolled_by_format[i];
-      total.tx_accepted_by_format[i] += s.tx_accepted_by_format[i];
-    }
-    for (std::size_t i = 0; i < proto::kRejectCodeCount; ++i) {
-      total.rejects_by_code[i] += s.rejects_by_code[i];
-    }
-    total.sessions_evicted += s.sessions_evicted;
-    total.sessions_expired += s.sessions_expired;
-  }
+  for (const auto& shard : shards_) total += shard->sp->stats_snapshot();
   return total;
 }
 

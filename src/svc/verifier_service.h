@@ -68,12 +68,11 @@ struct SvcConfig {
   std::size_t queue_depth = 256;
   /// Upper bound on how many queued requests a worker drains per wakeup
   /// (clamped to [1, queue_depth]). Everything drained in one wakeup is
-  /// handed to the shard SP as one handle_frame_batch call, so queued
-  /// TxConfirm bursts share one gathered signature-verification pass;
-  /// the queue hand-off cost (condvar wakeup + lock round trip) also
-  /// amortizes across the batch, and so does a durable SP's journal
-  /// commit (one write + fdatasync per batch). 1 restores the
-  /// one-frame-per-wakeup behaviour. Latency under light load is
+  /// handed to the shard SP as one handle_frame_batch call, so the queue
+  /// hand-off cost (condvar wakeup + lock round trip) amortizes across
+  /// the batch, and so does a durable SP's journal commit (one write +
+  /// fdatasync per batch). 1 restores the one-frame-per-wakeup
+  /// behaviour. Latency under light load is
   /// unaffected either way: a worker never waits for a batch to fill, it
   /// drains what is there.
   std::size_t max_batch = 16;

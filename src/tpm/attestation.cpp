@@ -97,50 +97,4 @@ Status AttestationVerifyContext::verify(crypto::HashAlg alg, BytesView message,
   return rsa_->verify(alg, message, signature);
 }
 
-std::vector<Status> attestation_verify_batch(
-    std::span<const AttestationBatchItem> items) {
-  const std::size_t n = items.size();
-  std::vector<Status> out(n);
-
-  // Partition by backend, preserving original indices so the verdicts
-  // scatter back in order. Stateless failures (missing context, wrong
-  // hash for the ECDSA backend) settle immediately with the exact
-  // single-verify error.
-  std::vector<std::size_t> rsa_idx, ecdsa_idx;
-  std::vector<crypto::RsaBatchItem> rsa_items;
-  std::vector<crypto::EcdsaBatchItem> ecdsa_items;
-  for (std::size_t i = 0; i < n; ++i) {
-    const AttestationBatchItem& item = items[i];
-    if (!item.ctx) {
-      out[i] = Error{Err::kAuthFail,
-                     "AttestationVerifyContext: missing context"};
-      continue;
-    }
-    if (item.ctx->key_.format == QuoteFormat::kTpm2) {
-      if (item.alg != crypto::HashAlg::kSha256) {
-        out[i] = Error{
-            Err::kAuthFail,
-            "AttestationVerifyContext: ECDSA backend is SHA-256 only"};
-        continue;
-      }
-      ecdsa_idx.push_back(i);
-      ecdsa_items.push_back(
-          {&*item.ctx->ecdsa_, item.message, item.signature});
-    } else {
-      rsa_idx.push_back(i);
-      rsa_items.push_back(
-          {&*item.ctx->rsa_, item.alg, item.message, item.signature});
-    }
-  }
-  const std::vector<Status> rsa_out = crypto::rsa_verify_batch(rsa_items);
-  for (std::size_t j = 0; j < rsa_idx.size(); ++j) {
-    out[rsa_idx[j]] = rsa_out[j];
-  }
-  const std::vector<Status> ecdsa_out = crypto::ecdsa_verify_batch(ecdsa_items);
-  for (std::size_t j = 0; j < ecdsa_idx.size(); ++j) {
-    out[ecdsa_idx[j]] = ecdsa_out[j];
-  }
-  return out;
-}
-
 }  // namespace tp::tpm

@@ -17,8 +17,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "crypto/ecdsa.h"
 #include "crypto/rsa.h"
@@ -97,29 +95,9 @@ class AttestationVerifyContext {
                 BytesView signature) const;
 
  private:
-  friend std::vector<Status> attestation_verify_batch(
-      std::span<const struct AttestationBatchItem> items);
   AttestationKey key_;
   std::optional<crypto::RsaVerifyContext> rsa_;
   std::optional<crypto::EcdsaVerifyContext> ecdsa_;
 };
-
-/// One item of a batched verification: a format-dispatched context plus
-/// the hash algorithm (RSA DigestInfo selection only), message and
-/// signature to check against it.
-struct AttestationBatchItem {
-  const AttestationVerifyContext* ctx = nullptr;
-  crypto::HashAlg alg = crypto::HashAlg::kSha256;
-  BytesView message;
-  BytesView signature;
-};
-
-/// Verifies every item and returns one status per item, in order --
-/// verdict-identical to calling item.ctx->verify(...) one by one. Items
-/// are partitioned by format and routed to rsa_verify_batch /
-/// ecdsa_verify_batch, so a mixed TPM 1.2 / 2.0 fleet still gets both
-/// batch fast paths in a single call.
-std::vector<Status> attestation_verify_batch(
-    std::span<const AttestationBatchItem> items);
 
 }  // namespace tp::tpm

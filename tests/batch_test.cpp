@@ -1,355 +1,28 @@
-// Differential parity suites for the batched verify data plane.
-//
-// Every batch primitive in the repo claims bit-for-bit decision
-// equivalence with its single-item counterpart; these tests hold it to
-// that over fuzzed inputs: multi-buffer SHA-256/HMAC against the scalar
-// hashes across lengths straddling every padding boundary, batch RSA
-// and ECDSA verification against the per-item contexts over mixes of
-// valid, corrupted and malformed inputs (including the
-// one-bad-signature-in-batch case, where the bisection must isolate
-// exactly the offending index), the ring-buffer queue against its
-// contract, and the SP batch frame path against sequential handle_frame
-// on a twin service provider. Run via `ctest -L batch`; CI repeats the
-// label under ASan and UBSan.
+// Differential suites for the batched data plane: the ring-buffer
+// queue against its contract (FIFO across wraps, bounded pop_batch
+// drains, producers unblocked by a drain), and the SP frame batch path
+// (handle_frame_batch, what a svc worker calls once per drain) against
+// sequential handle_frame on a twin service provider. Run via
+// `ctest -L batch`; CI repeats the label under ASan and UBSan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/trusted_path_pal.h"
-#include "crypto/drbg.h"
-#include "crypto/ecdsa.h"
-#include "crypto/hmac.h"
-#include "crypto/rsa.h"
-#include "crypto/sha256.h"
-#include "crypto/sha256_mb.h"
 #include "devices/human.h"
 #include "pal/session.h"
 #include "sp/service_provider.h"
 #include "svc/bounded_queue.h"
-#include "tpm/attestation.h"
 #include "tpm/privacy_ca.h"
 
 namespace tp {
 namespace {
-
-Bytes rng_bytes(crypto::HmacDrbg& rng, std::size_t n) {
-  return rng.generate(n);
-}
-
-std::uint64_t rng_u64(crypto::HmacDrbg& rng) {
-  const Bytes b = rng.generate(8);
-  std::uint64_t v = 0;
-  for (std::uint8_t byte : b) v = (v << 8) | byte;
-  return v;
-}
-
-// ---- multi-buffer SHA-256 / HMAC ---------------------------------------
-
-TEST(Sha256MbTest, ParityAcrossPaddingBoundaries) {
-  crypto::HmacDrbg rng(bytes_of("batch-test:sha-mb"));
-  // Every length from empty through two blocks, plus the exact padding
-  // cliffs (55/56: length field fits or spills; 63/64: block edge) a
-  // second block out.
-  for (std::size_t len = 0; len <= 130; ++len) {
-    Bytes msgs[4];
-    BytesView views[4];
-    for (int l = 0; l < 4; ++l) {
-      msgs[l] = rng_bytes(rng, len);
-      views[l] = msgs[l];
-    }
-    crypto::Sha256Digest got[4];
-    crypto::sha256_mb4(views, got);
-    for (int l = 0; l < 4; ++l) {
-      EXPECT_EQ(got[l], crypto::Sha256::digest(views[l]))
-          << "len=" << len << " lane=" << l;
-    }
-  }
-}
-
-TEST(Sha256MbTest, RejectsUnequalLengths) {
-  Bytes a(10, 0x41), b(11, 0x42);
-  BytesView views[4] = {a, a, b, a};
-  crypto::Sha256Digest out[4];
-  EXPECT_THROW(crypto::sha256_mb4(views, out), std::invalid_argument);
-}
-
-TEST(Sha256MbTest, ManyHandlesMixedLengths) {
-  crypto::HmacDrbg rng(bytes_of("batch-test:sha-many"));
-  for (int round = 0; round < 20; ++round) {
-    const std::size_t n = 1 + rng_u64(rng) % 13;
-    std::vector<Bytes> msgs(n);
-    std::vector<BytesView> views(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Mix of equal-length runs (exercises the 4-way kernel) and
-      // stragglers (exercises the scalar fallback).
-      const std::size_t len = (rng_u64(rng) % 4 == 0)
-                                  ? rng_u64(rng) % 200
-                                  : 64 + (round % 3) * 57;
-      msgs[i] = rng_bytes(rng, len);
-      views[i] = msgs[i];
-    }
-    std::vector<crypto::Sha256Digest> got(n);
-    crypto::sha256_many(views.data(), n, got.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got[i], crypto::Sha256::digest(views[i])) << "i=" << i;
-    }
-  }
-}
-
-TEST(Sha256MbTest, HmacParityAcrossKeyAndMessageLengths) {
-  crypto::HmacDrbg rng(bytes_of("batch-test:hmac-mb"));
-  const std::size_t key_lens[] = {0, 1, 32, 63, 64, 65, 100};
-  const std::size_t msg_lens[] = {0, 1, 54, 55, 56, 63, 64, 65, 119, 128};
-  for (std::size_t klen : key_lens) {
-    for (std::size_t mlen : msg_lens) {
-      Bytes keys[4], msgs[4];
-      BytesView key_views[4], msg_views[4];
-      for (int l = 0; l < 4; ++l) {
-        keys[l] = rng_bytes(rng, klen);
-        msgs[l] = rng_bytes(rng, mlen);
-        key_views[l] = keys[l];
-        msg_views[l] = msgs[l];
-      }
-      crypto::Sha256Digest got[4];
-      crypto::hmac_sha256_mb4(key_views, msg_views, got);
-      for (int l = 0; l < 4; ++l) {
-        const Bytes want = crypto::hmac_sha256(keys[l], msgs[l]);
-        EXPECT_EQ(Bytes(got[l].begin(), got[l].end()), want)
-            << "klen=" << klen << " mlen=" << mlen << " lane=" << l;
-      }
-    }
-  }
-}
-
-TEST(Sha256MbTest, HmacManyMatchesScalarContext) {
-  crypto::HmacDrbg rng(bytes_of("batch-test:hmac-many"));
-  const Bytes key = rng_bytes(rng, 32);
-  for (int round = 0; round < 10; ++round) {
-    const std::size_t n = 1 + rng_u64(rng) % 11;
-    std::vector<Bytes> msgs(n);
-    std::vector<BytesView> views(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t len =
-          (rng_u64(rng) % 3 == 0) ? rng_u64(rng) % 150 : 80;
-      msgs[i] = rng_bytes(rng, len);
-      views[i] = msgs[i];
-    }
-    std::vector<crypto::Sha256Digest> got(n);
-    crypto::hmac_sha256_many(key, views.data(), n, got.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(Bytes(got[i].begin(), got[i].end()),
-                crypto::hmac_sha256(key, msgs[i]))
-          << "i=" << i;
-    }
-  }
-}
-
-// ---- batch ECDSA -------------------------------------------------------
-
-struct EcdsaFixture {
-  std::vector<crypto::EcdsaPrivateKey> keys;
-  std::vector<crypto::EcdsaVerifyContext> ctxs;
-
-  explicit EcdsaFixture(std::size_t count, const char* seed) {
-    crypto::HmacDrbg rng(bytes_of(seed));
-    auto rand = [&rng](std::size_t n) { return rng.generate(n); };
-    keys.reserve(count);
-    ctxs.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      keys.push_back(crypto::ecdsa_generate(rand));
-      ctxs.emplace_back(keys.back().public_half);
-    }
-  }
-};
-
-TEST(EcdsaBatchTest, ParityOverFuzzedMixes) {
-  EcdsaFixture fx(4, "batch-test:ecdsa-parity");
-  crypto::HmacDrbg rng(bytes_of("batch-test:ecdsa-fuzz"));
-  // An intentionally invalid context (off-curve key): batch must report
-  // the same invalid-key failure the single path does.
-  crypto::EcdsaPublicKey bad_key = fx.keys[0].public_half;
-  bad_key.y[5] ^= 0x01;
-  const crypto::EcdsaVerifyContext bad_ctx(bad_key);
-
-  for (int round = 0; round < 25; ++round) {
-    const std::size_t n = 1 + rng_u64(rng) % 9;
-    std::vector<Bytes> messages(n), signatures(n);
-    std::vector<crypto::EcdsaBatchItem> items(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t key_idx = rng_u64(rng) % fx.keys.size();
-      messages[i] = rng_bytes(rng, 40 + rng_u64(rng) % 60);
-      signatures[i] = crypto::ecdsa_sign(fx.keys[key_idx], messages[i]);
-      items[i].ctx = &fx.ctxs[key_idx];
-      switch (rng_u64(rng) % 6) {
-        case 0:  // valid
-          break;
-        case 1:  // corrupted signature byte
-          signatures[i][rng_u64(rng) % signatures[i].size()] ^= 0x40;
-          break;
-        case 2:  // corrupted message
-          messages[i][rng_u64(rng) % messages[i].size()] ^= 0x01;
-          break;
-        case 3:  // malformed: truncated signature
-          signatures[i].resize(signatures[i].size() / 2);
-          break;
-        case 4:  // malformed: r = 0
-          std::fill(signatures[i].begin(), signatures[i].begin() + 32, 0);
-          break;
-        case 5:  // invalid public key
-          items[i].ctx = &bad_ctx;
-          break;
-      }
-      items[i].message = messages[i];
-      items[i].signature = signatures[i];
-    }
-    const std::vector<Status> got = crypto::ecdsa_verify_batch(items);
-    ASSERT_EQ(got.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Status want = items[i].ctx->verify(messages[i], signatures[i]);
-      EXPECT_EQ(got[i].ok(), want.ok()) << "round=" << round << " i=" << i;
-      if (!want.ok()) {
-        EXPECT_EQ(got[i].error().code, want.error().code)
-            << "round=" << round << " i=" << i;
-        EXPECT_EQ(got[i].error().message, want.error().message)
-            << "round=" << round << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(EcdsaBatchTest, BisectionIsolatesTheOneBadSignature) {
-  EcdsaFixture fx(3, "batch-test:ecdsa-isolate");
-  crypto::HmacDrbg rng(bytes_of("batch-test:ecdsa-isolate-fuzz"));
-  for (std::size_t bad = 0; bad < 16; ++bad) {
-    std::vector<Bytes> messages(16), signatures(16);
-    std::vector<crypto::EcdsaBatchItem> items(16);
-    for (std::size_t i = 0; i < 16; ++i) {
-      const std::size_t key_idx = i % fx.keys.size();
-      messages[i] = rng_bytes(rng, 72);
-      signatures[i] = crypto::ecdsa_sign(fx.keys[key_idx], messages[i]);
-      if (i == bad) signatures[i][40] ^= 0x20;  // corrupt s, still in range
-      items[i] = {&fx.ctxs[key_idx], messages[i], signatures[i]};
-    }
-    const std::vector<Status> got = crypto::ecdsa_verify_batch(items);
-    for (std::size_t i = 0; i < 16; ++i) {
-      EXPECT_EQ(got[i].ok(), i != bad) << "bad=" << bad << " i=" << i;
-    }
-  }
-}
-
-TEST(EcdsaBatchTest, AllValidAndAllInvalidBatches) {
-  EcdsaFixture fx(2, "batch-test:ecdsa-ends");
-  crypto::HmacDrbg rng(bytes_of("batch-test:ecdsa-ends-fuzz"));
-  std::vector<Bytes> messages(8), signatures(8);
-  std::vector<crypto::EcdsaBatchItem> items(8);
-  for (std::size_t i = 0; i < 8; ++i) {
-    messages[i] = rng_bytes(rng, 64);
-    signatures[i] = crypto::ecdsa_sign(fx.keys[i % 2], messages[i]);
-    items[i] = {&fx.ctxs[i % 2], messages[i], signatures[i]};
-  }
-  for (const Status& s : crypto::ecdsa_verify_batch(items)) {
-    EXPECT_TRUE(s.ok());
-  }
-  for (std::size_t i = 0; i < 8; ++i) signatures[i][33] ^= 0x10;
-  for (std::size_t i = 0; i < 8; ++i) items[i].signature = signatures[i];
-  for (const Status& s : crypto::ecdsa_verify_batch(items)) {
-    EXPECT_FALSE(s.ok());
-  }
-}
-
-TEST(EcdsaBatchTest, EmptyBatch) {
-  EXPECT_TRUE(crypto::ecdsa_verify_batch({}).empty());
-}
-
-// ---- batch RSA ---------------------------------------------------------
-
-struct RsaFixture {
-  std::vector<crypto::RsaPrivateKey> keys;
-  std::vector<crypto::RsaVerifyContext> ctxs;
-
-  explicit RsaFixture(std::size_t count, const char* seed) {
-    crypto::HmacDrbg rng(bytes_of(seed));
-    auto rand = [&rng](std::size_t n) { return rng.generate(n); };
-    for (std::size_t i = 0; i < count; ++i) {
-      keys.push_back(crypto::rsa_generate(1024, rand));
-      ctxs.emplace_back(keys.back().public_key());
-    }
-  }
-};
-
-TEST(RsaBatchTest, ParityOverFuzzedMixes) {
-  RsaFixture fx(2, "batch-test:rsa-parity");
-  crypto::HmacDrbg rng(bytes_of("batch-test:rsa-fuzz"));
-  for (int round = 0; round < 12; ++round) {
-    const std::size_t n = 1 + rng_u64(rng) % 7;
-    std::vector<Bytes> messages(n), signatures(n);
-    std::vector<crypto::RsaBatchItem> items(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t key_idx = rng_u64(rng) % fx.keys.size();
-      const crypto::HashAlg alg = (rng_u64(rng) % 4 == 0)
-                                      ? crypto::HashAlg::kSha1
-                                      : crypto::HashAlg::kSha256;
-      messages[i] = rng_bytes(rng, 30 + rng_u64(rng) % 80);
-      signatures[i] = crypto::rsa_sign(fx.keys[key_idx], alg, messages[i]);
-      switch (rng_u64(rng) % 5) {
-        case 0:  // valid
-        case 1:
-          break;
-        case 2:  // corrupted signature
-          signatures[i][rng_u64(rng) % signatures[i].size()] ^= 0x04;
-          break;
-        case 3:  // bad length
-          signatures[i].push_back(0x00);
-          break;
-        case 4:  // representative out of range
-          std::fill(signatures[i].begin(), signatures[i].end(), 0xff);
-          break;
-      }
-      items[i] = {&fx.ctxs[key_idx], alg, messages[i], signatures[i]};
-    }
-    const std::vector<Status> got = crypto::rsa_verify_batch(items);
-    ASSERT_EQ(got.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Status want =
-          items[i].ctx->verify(items[i].alg, messages[i], signatures[i]);
-      EXPECT_EQ(got[i].ok(), want.ok()) << "round=" << round << " i=" << i;
-      if (!want.ok()) {
-        EXPECT_EQ(got[i].error().code, want.error().code)
-            << "round=" << round << " i=" << i;
-        EXPECT_EQ(got[i].error().message, want.error().message)
-            << "round=" << round << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(RsaBatchTest, OneCorruptedInBatchIsIsolated) {
-  RsaFixture fx(1, "batch-test:rsa-isolate");
-  crypto::HmacDrbg rng(bytes_of("batch-test:rsa-isolate-fuzz"));
-  for (std::size_t bad = 0; bad < 6; ++bad) {
-    std::vector<Bytes> messages(6), signatures(6);
-    std::vector<crypto::RsaBatchItem> items(6);
-    for (std::size_t i = 0; i < 6; ++i) {
-      messages[i] = rng_bytes(rng, 48);
-      signatures[i] = crypto::rsa_sign(fx.keys[0], crypto::HashAlg::kSha256,
-                                       messages[i]);
-      if (i == bad) signatures[i][10] ^= 0x80;
-      items[i] = {&fx.ctxs[0], crypto::HashAlg::kSha256, messages[i],
-                  signatures[i]};
-    }
-    const std::vector<Status> got = crypto::rsa_verify_batch(items);
-    for (std::size_t i = 0; i < 6; ++i) {
-      EXPECT_EQ(got[i].ok(), i != bad) << "bad=" << bad << " i=" << i;
-    }
-  }
-}
 
 // ---- ring-buffer queue semantics ---------------------------------------
 
@@ -419,55 +92,6 @@ TEST(BoundedQueueTest, PopBatchFreesSlotsForBlockedProducers) {
   }
   producer.join();
   for (int i = 0; i < 8; ++i) EXPECT_EQ(seen[i], i);
-}
-
-// ---- attestation batch dispatch ----------------------------------------
-
-TEST(AttestationBatchTest, MixedFormatsMatchSingleVerify) {
-  crypto::HmacDrbg rng(bytes_of("batch-test:att"));
-  auto rand = [&rng](std::size_t n) { return rng.generate(n); };
-  const crypto::RsaPrivateKey rsa_key = crypto::rsa_generate(1024, rand);
-  const crypto::EcdsaPrivateKey ec_key = crypto::ecdsa_generate(rand);
-  const tpm::AttestationVerifyContext rsa_ctx(
-      tpm::AttestationKey::of(rsa_key.public_key()));
-  const tpm::AttestationVerifyContext ec_ctx(
-      tpm::AttestationKey::of(ec_key.public_key()));
-
-  std::vector<Bytes> messages(9), signatures(9);
-  std::vector<tpm::AttestationBatchItem> items(9);
-  for (std::size_t i = 0; i < 9; ++i) {
-    messages[i] = rng_bytes(rng, 60);
-    if (i % 2 == 0) {
-      signatures[i] =
-          crypto::rsa_sign(rsa_key, crypto::HashAlg::kSha256, messages[i]);
-      items[i].ctx = &rsa_ctx;
-    } else {
-      signatures[i] = crypto::ecdsa_sign(ec_key, messages[i]);
-      items[i].ctx = &ec_ctx;
-    }
-    if (i % 3 == 0) signatures[i][7] ^= 0x22;  // corrupt a third of them
-    items[i].message = messages[i];
-    items[i].signature = signatures[i];
-  }
-  // One item exercising the ECDSA-is-SHA-256-only screen and one with a
-  // missing context.
-  items[7].alg = crypto::HashAlg::kSha1;
-  items[8].ctx = nullptr;
-
-  const std::vector<Status> got = tpm::attestation_verify_batch(items);
-  ASSERT_EQ(got.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (items[i].ctx == nullptr) {
-      EXPECT_FALSE(got[i].ok()) << "i=" << i;
-      continue;
-    }
-    const Status want =
-        items[i].ctx->verify(items[i].alg, messages[i], signatures[i]);
-    EXPECT_EQ(got[i].ok(), want.ok()) << "i=" << i;
-    if (!want.ok()) {
-      EXPECT_EQ(got[i].error().message, want.error().message) << "i=" << i;
-    }
-  }
 }
 
 // ---- SP batch frame path ----------------------------------------------
@@ -676,7 +300,7 @@ TEST(SpBatchTest, FrameBatchMatchesSequentialFrameHandling) {
 
   // Replay the identical trace through handle_frame_batch at several
   // chunk sizes (1 degenerates to the sequential path; the full trace
-  // exercises every flush rule).
+  // is one batch).
   const std::size_t chunk_sizes[] = {1, 3, 7, 16, harness.trace.size()};
   for (const std::size_t chunk : chunk_sizes) {
     sp::ServiceProvider twin(spbatch::sp_config(harness.ca));

@@ -678,11 +678,12 @@ TEST(GroupCommit, BatchedJournalIsByteIdenticalWithOneAppendPerCall) {
   sp::ServiceProvider batch_sp(cfg);
 
   // Round r confirms what round r-1 opened (every 4th by a user reject),
-  // repeats its first confirm inside the batch (the batch path must
-  // flush its gathered run), confirms a tx id nobody issued, opens fresh
-  // transactions, and retransmits an earlier round's frame (answered
-  // from cache, never journaled). The frame-by-frame SP's replies name
-  // the tx ids; the batched SP has the same seed, so it issues the same.
+  // repeats its first confirm inside the batch (answered from the cached
+  // reply, never journaled twice), confirms a tx id nobody issued, opens
+  // fresh transactions, and retransmits an earlier round's frame
+  // (answered from cache, never journaled). The frame-by-frame SP's
+  // replies name the tx ids; the batched SP has the same seed, so it
+  // issues the same.
   std::vector<std::vector<Bytes>> rounds;
   std::vector<std::vector<Bytes>> seq_replies;
   std::vector<std::pair<std::string, std::uint64_t>> open;

@@ -314,6 +314,42 @@ TEST(Journal, DuplicatedRecordsFoldInOnce) {
   expect_same_state(twice.take(), once.take());
 }
 
+TEST(Journal, ReinsertedDedupKeyFoldsToItsLastPosition) {
+  // Rows A, B, A' where A' re-inserts A's (client, digest) key. Recovery
+  // replays dedup rows in order into the SP's direct-mapped table, so if
+  // A and B share a slot the live table holds A' -- the fold must put A'
+  // after B, not update A in place ahead of it.
+  const DedupRow a{make_key(1), make_key(2), 10};
+  const DedupRow b{make_key(3), make_key(4), 11};
+  const DedupRow a2{make_key(1), make_key(2), 12};
+  ShardStateBuilder builder(ShardState{});
+  std::uint64_t seq = 0;
+  for (const DedupRow& row : {a, b, a2}) {
+    ++seq;
+    ASSERT_TRUE(builder
+                    .apply(JournalRecord{seq, RecordType::kDedupRow,
+                                         store::dedup_row_body(
+                                             static_cast<std::int64_t>(seq),
+                                             row)})
+                    .ok());
+  }
+  EXPECT_EQ(builder.take().dedup, (std::vector<DedupRow>{b, a2}));
+
+  // The same holds when A arrives in the snapshot and B, A' in the
+  // journal behind it.
+  ShardState base;
+  base.dedup = {a};
+  ShardStateBuilder from_snapshot(std::move(base));
+  const DedupRow tail[] = {b, a2};
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(from_snapshot
+                    .apply(JournalRecord{i + 1, RecordType::kDedupRow,
+                                         store::dedup_row_body(1, tail[i])})
+                    .ok());
+  }
+  EXPECT_EQ(from_snapshot.take().dedup, (std::vector<DedupRow>{b, a2}));
+}
+
 TEST(Journal, BuilderRejectsStructurallyInvalidBodies) {
   // A framed, CRC-valid record whose *body* does not parse is the same
   // class of damage as a CRC failure; apply() reports it as a typed
