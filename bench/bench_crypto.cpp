@@ -10,8 +10,10 @@
 #include "crypto/aes.h"
 #include "crypto/bignum.h"
 #include "crypto/drbg.h"
+#include "crypto/ecdsa.h"
 #include "crypto/hmac.h"
 #include "crypto/modes.h"
+#include "crypto/p256.h"
 #include "crypto/rsa.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
@@ -196,6 +198,43 @@ void BM_ModExpSmallExponent(benchmark::State& state) {
   state.SetLabel(windowed ? "windowed" : "small-exp fast path");
 }
 BENCHMARK(BM_ModExpSmallExponent)->Arg(0)->Arg(1);
+
+// P-256 per-key window table (p256::WindowTable): the precompute every
+// TPM 2.0 enrollment pays once, and the warm verify it buys.
+const EcdsaPrivateKey& p256_key() {
+  static const EcdsaPrivateKey key = ecdsa_generate(entropy("p256"));
+  return key;
+}
+
+p256::AffinePoint p256_point(const EcdsaPublicKey& pk) {
+  p256::AffinePoint q;
+  q.x = p256::from_bytes_be(pk.x);
+  q.y = p256::from_bytes_be(pk.y);
+  q.infinity = false;
+  return q;
+}
+
+void BM_P256WindowTable(benchmark::State& state) {
+  const p256::AffinePoint q = p256_point(p256_key().public_key());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p256::WindowTable(q));
+  }
+  state.SetLabel(std::to_string(p256::WindowTable::kMemoryBytes) +
+                 " B per key");
+}
+BENCHMARK(BM_P256WindowTable)->Unit(benchmark::kMicrosecond);
+
+void BM_EcdsaVerifyCtx(benchmark::State& state) {
+  // Warm: one key's table stays in cache across iterations.
+  const EcdsaVerifyContext ctx(p256_key().public_key());
+  const Bytes msg = bytes_of("confirmation statement");
+  const Bytes sig = ecdsa_sign(p256_key(), msg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.verify(msg, sig));
+  }
+  state.SetLabel("cached per-key window table");
+}
+BENCHMARK(BM_EcdsaVerifyCtx);
 
 void BM_HmacDrbg(benchmark::State& state) {
   HmacDrbg drbg(bytes_of("seed"));

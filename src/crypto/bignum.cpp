@@ -7,6 +7,15 @@ namespace tp::crypto {
 
 namespace {
 constexpr std::uint64_t kBase = 1ull << 32;
+
+/// v's 32-bit limbs packed into n 64-bit limbs (v must fit).
+void pack_limbs64(const BigInt& v, std::uint64_t* out, std::size_t n) {
+  const auto& l = v.limbs();
+  std::fill_n(out, n, std::uint64_t{0});
+  for (std::size_t i = 0; i < l.size(); ++i) {
+    out[i / 2] |= static_cast<std::uint64_t>(l[i]) << (32 * (i % 2));
+  }
+}
 }  // namespace
 
 BigInt::BigInt(std::uint64_t v) {
@@ -281,134 +290,134 @@ BigInt BigInt::mod_mul(const BigInt& a, const BigInt& b, const BigInt& m) {
 }
 
 MontgomeryCtx::MontgomeryCtx(const BigInt& m)
-    : m_(m), n_(m.limbs().size()) {
+    : m_(m), n_((m.bit_length() + 63) / 64) {
   if (m.is_even() || m < BigInt(3)) {
     throw std::domain_error("MontgomeryCtx: modulus must be odd and >= 3");
   }
-  // n0inv = -m^{-1} mod 2^32 via Newton iteration on 2-adic inverse.
-  std::uint32_t inv = 1;
-  const std::uint32_t m0 = m.limbs()[0];
-  for (int i = 0; i < 5; ++i) inv *= 2 - m0 * inv;
-  n0inv_ = ~inv + 1;  // negate mod 2^32
+  if (m.bit_length() > kMaxBits) {
+    throw std::domain_error("MontgomeryCtx: modulus exceeds kMaxBits");
+  }
+  m64_.resize(n_);
+  pack_limbs64(m, m64_.data(), n_);
 
-  // R^2 mod m where R = 2^(32n): square-by-doubling.
-  BigInt r2 = BigInt(1) << (32 * n_);
-  r2 = r2 % m_;
-  r2 = (r2 * r2) % m_;
-  r2_ = to_vec(r2);
-  one_ = to_vec(BigInt(1));
+  // n0inv = -m^{-1} mod 2^64 via Newton iteration on the 2-adic inverse
+  // (each step doubles the correct low bits: 1 -> 64 in six steps).
+  Limb inv = 1;
+  for (int i = 0; i < 6; ++i) inv *= 2 - m64_[0] * inv;
+  n0inv_ = ~inv + 1;  // negate mod 2^64
+
+  // R^2 mod m where R = 2^(64 n).
+  const BigInt r = (BigInt(1) << (64 * n_)) % m_;
+  r2_.resize(n_);
+  pack_limbs64((r * r) % m_, r2_.data(), n_);
 }
 
-MontgomeryCtx::Limbs MontgomeryCtx::to_vec(const BigInt& v) const {
-  Limbs out(v.limbs());
-  out.resize(n_, 0);
-  return out;
+std::size_t MontgomeryCtx::memory_bytes() const {
+  return m_.limbs().size() * sizeof(std::uint32_t) +
+         (m64_.size() + r2_.size()) * sizeof(Limb);
 }
 
-MontgomeryCtx::Limbs MontgomeryCtx::mul(const Limbs& a,
-                                        const Limbs& b) const {
-  const auto& m = m_.limbs();
-  Limbs t(n_ + 2, 0);
+void MontgomeryCtx::mul(const Limb* a, const Limb* b, Limb* out) const {
+  using u128 = unsigned __int128;
+  const std::size_t n = n_;
+  const Limb* m = m64_.data();
+  // t < 2m after every outer step, so n + 1 limbs hold it.
+  Limb t[kMaxLimbs + 1] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    // One fused pass per limb of a: t = (t + a[i] * b + u * m) / 2^64,
+    // with u chosen so the low limb vanishes. Two carry chains, each
+    // below 2^64 since (2^64 - 1)^2 + 2 (2^64 - 1) < 2^128.
+    const Limb ai = a[i];
+    u128 p = static_cast<u128>(ai) * b[0] + t[0];
+    Limb c1 = static_cast<Limb>(p >> 64);
+    const Limb u = static_cast<Limb>(p) * n0inv_;
+    u128 q = static_cast<u128>(u) * m[0] + static_cast<Limb>(p);
+    Limb c2 = static_cast<Limb>(q >> 64);
+    for (std::size_t j = 1; j < n; ++j) {
+      p = static_cast<u128>(ai) * b[j] + t[j] + c1;
+      c1 = static_cast<Limb>(p >> 64);
+      q = static_cast<u128>(u) * m[j] + static_cast<Limb>(p) + c2;
+      c2 = static_cast<Limb>(q >> 64);
+      t[j - 1] = static_cast<Limb>(q);
+    }
+    const u128 top = static_cast<u128>(t[n]) + c1 + c2;
+    t[n - 1] = static_cast<Limb>(top);
+    t[n] = static_cast<Limb>(top >> 64);
+  }
+
+  // Conditional final subtraction: out = t - m when t >= m.
+  Limb d[kMaxLimbs] = {};
+  Limb borrow = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const u128 diff = static_cast<u128>(t[j]) - m[j] - borrow;
+    d[j] = static_cast<Limb>(diff);
+    borrow = static_cast<Limb>(diff >> 64) & 1;
+  }
+  const Limb* src = (t[n] != 0 || borrow == 0) ? d : t;
+  std::copy_n(src, n, out);
+}
+
+void MontgomeryCtx::to_mont(const BigInt& v, Limb* out) const {
+  pack_limbs64(v % m_, out, n_);
+  mul(out, r2_.data(), out);
+}
+
+BigInt MontgomeryCtx::from_mont(const Limb* a) const {
+  Limb one[kMaxLimbs] = {1};
+  Limb plain[kMaxLimbs] = {};
+  mul(a, one, plain);
+  std::vector<std::uint32_t> limbs(2 * n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    // t += a[i] * b
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < n_; ++j) {
-      const std::uint64_t cur = static_cast<std::uint64_t>(t[j]) +
-                                static_cast<std::uint64_t>(a[i]) * b[j] +
-                                carry;
-      t[j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    std::uint64_t cur = static_cast<std::uint64_t>(t[n_]) + carry;
-    t[n_] = static_cast<std::uint32_t>(cur);
-    t[n_ + 1] = static_cast<std::uint32_t>(cur >> 32);
-
-    // u = t[0] * n0inv mod 2^32; t += u * m; t >>= 32
-    const std::uint32_t u = t[0] * n0inv_;
-    carry = 0;
-    std::uint64_t sum = static_cast<std::uint64_t>(t[0]) +
-                        static_cast<std::uint64_t>(u) * m[0];
-    carry = sum >> 32;
-    for (std::size_t j = 1; j < n_; ++j) {
-      sum = static_cast<std::uint64_t>(t[j]) +
-            static_cast<std::uint64_t>(u) * m[j] + carry;
-      t[j - 1] = static_cast<std::uint32_t>(sum);
-      carry = sum >> 32;
-    }
-    sum = static_cast<std::uint64_t>(t[n_]) + carry;
-    t[n_ - 1] = static_cast<std::uint32_t>(sum);
-    t[n_] = t[n_ + 1] + static_cast<std::uint32_t>(sum >> 32);
-    t[n_ + 1] = 0;
+    limbs[2 * i] = static_cast<std::uint32_t>(plain[i]);
+    limbs[2 * i + 1] = static_cast<std::uint32_t>(plain[i] >> 32);
   }
-
-  t.resize(n_ + 1);
-  // Conditional final subtraction.
-  bool ge = t[n_] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = n_; i-- > 0;) {
-      if (t[i] != m[i]) {
-        ge = t[i] > m[i];
-        break;
-      }
-    }
-  }
-  t.resize(n_);
-  if (ge) {
-    std::int64_t borrow = 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::int64_t d = static_cast<std::int64_t>(t[i]) -
-                             static_cast<std::int64_t>(m[i]) - borrow;
-      t[i] = static_cast<std::uint32_t>(d);
-      borrow = d < 0 ? 1 : 0;
-    }
-  }
-  return t;
+  return BigInt::from_limbs(std::move(limbs));
 }
 
-BigInt MontgomeryCtx::pow_small(const Limbs& base_mont,
+BigInt MontgomeryCtx::pow_small(const Limb* base_mont,
                                 const BigInt& exp) const {
   // Left-to-right square-and-multiply: for a k-bit exponent, k-1
   // squarings plus one multiply per set bit, and no table precompute.
   // At e = 65537 that is 17 muls vs the windowed path's ~40.
-  auto acc = base_mont;
+  Limb acc[kMaxLimbs] = {};
+  std::copy_n(base_mont, n_, acc);
   for (std::size_t i = exp.bit_length() - 1; i-- > 0;) {
-    acc = mul(acc, acc);
-    if (exp.bit(i)) acc = mul(acc, base_mont);
+    mul(acc, acc, acc);
+    if (exp.bit(i)) mul(acc, base_mont, acc);
   }
-  acc = mul(acc, one_);  // out of Montgomery form
-  return BigInt::from_limbs(std::move(acc));
+  return from_mont(acc);
 }
 
-BigInt MontgomeryCtx::pow_windowed(const Limbs& base_mont,
+BigInt MontgomeryCtx::pow_windowed(const Limb* base_mont,
                                    const BigInt& exp) const {
   // 4-bit fixed windows: b^0..b^15 precomputed in Montgomery form.
-  std::vector<Limbs> table(16);
-  table[0] = mul(one_, r2_);  // 1 in Montgomery form
-  table[1] = base_mont;
+  Limb table[16][kMaxLimbs] = {};
+  Limb one[kMaxLimbs] = {1};
+  mul(one, r2_.data(), table[0]);  // 1 in Montgomery form (R mod m)
+  std::copy_n(base_mont, n_, table[1]);
   for (std::size_t i = 2; i < 16; ++i) {
-    table[i] = mul(table[i - 1], base_mont);
+    mul(table[i - 1], base_mont, table[i]);
   }
 
-  const std::size_t bits = exp.bit_length();
-  const std::size_t windows = (bits + 3) / 4;
-  auto acc = table[0];
+  const std::size_t windows = (exp.bit_length() + 3) / 4;
+  Limb acc[kMaxLimbs] = {};
+  std::copy_n(table[0], n_, acc);
   for (std::size_t w = windows; w-- > 0;) {
-    for (int s = 0; s < 4; ++s) acc = mul(acc, acc);
+    for (int s = 0; s < 4; ++s) mul(acc, acc, acc);
     std::size_t idx = 0;
     for (int s = 3; s >= 0; --s) {
       idx = (idx << 1) |
             (exp.bit(w * 4 + static_cast<std::size_t>(s)) ? 1u : 0u);
     }
-    if (idx != 0) acc = mul(acc, table[idx]);
+    if (idx != 0) mul(acc, table[idx], acc);
   }
-  acc = mul(acc, one_);  // out of Montgomery form
-  return BigInt::from_limbs(std::move(acc));
+  return from_mont(acc);
 }
 
 BigInt MontgomeryCtx::mod_exp(const BigInt& base, const BigInt& exp) const {
   if (exp.is_zero()) return BigInt(1);
-  const Limbs base_mont = mul(to_vec(base % m_), r2_);
+  Limb base_mont[kMaxLimbs] = {};
+  to_mont(base, base_mont);
   return exp.bit_length() <= kSmallExpBits ? pow_small(base_mont, exp)
                                            : pow_windowed(base_mont, exp);
 }
@@ -416,7 +425,9 @@ BigInt MontgomeryCtx::mod_exp(const BigInt& base, const BigInt& exp) const {
 BigInt MontgomeryCtx::mod_exp_windowed(const BigInt& base,
                                        const BigInt& exp) const {
   if (exp.is_zero()) return BigInt(1);
-  return pow_windowed(mul(to_vec(base % m_), r2_), exp);
+  Limb base_mont[kMaxLimbs] = {};
+  to_mont(base, base_mont);
+  return pow_windowed(base_mont, exp);
 }
 
 BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp,
@@ -427,11 +438,13 @@ BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp,
 
   const BigInt b = base % m;
 
-  if (m.is_odd()) {
+  if (m.is_odd() && m.bit_length() <= MontgomeryCtx::kMaxBits) {
     return MontgomeryCtx(m).mod_exp(b, exp);
   }
 
-  // Even modulus (rare; not an RSA case): plain square-and-multiply.
+  // Even modulus, or one beyond the Montgomery kernel's capacity (never
+  // an RSA case here: parsers bound moduli to kMaxBits): plain
+  // square-and-multiply.
   BigInt result(1);
   BigInt cur = b;
   for (std::size_t i = 0; i < exp.bit_length(); ++i) {

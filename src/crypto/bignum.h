@@ -2,10 +2,11 @@
 //
 // Only the operations RSA needs: the value domain is non-negative integers
 // (key material, moduli, message representatives are all unsigned), which
-// keeps the invariants simple. Limbs are 32-bit, little-endian, normalized
-// (no high zero limbs). Modular exponentiation uses Montgomery
-// multiplication (CIOS) for odd moduli, which covers every RSA modulus and
-// prime.
+// keeps the invariants simple. BigInt limbs are 32-bit, little-endian,
+// normalized (no high zero limbs). Modular exponentiation of odd moduli up
+// to MontgomeryCtx::kMaxBits -- every RSA modulus and prime -- runs on a
+// separate 64-bit-limb Montgomery kernel (CIOS) over fixed stack arrays;
+// BigInt is only its interface.
 #pragma once
 
 #include <compare>
@@ -60,7 +61,8 @@ class BigInt {
 
   /// (a * b) mod m.
   static BigInt mod_mul(const BigInt& a, const BigInt& b, const BigInt& m);
-  /// base^exp mod m. m must be >= 1; Montgomery path when m is odd.
+  /// base^exp mod m. m must be >= 1; Montgomery path when m is odd and
+  /// at most MontgomeryCtx::kMaxBits bits, square-and-multiply otherwise.
   static BigInt mod_exp(const BigInt& base, const BigInt& exp,
                         const BigInt& m);
   /// Multiplicative inverse mod m; returns zero BigInt if gcd(a, m) != 1.
@@ -94,24 +96,36 @@ class BigInt {
   std::vector<std::uint32_t> limbs_;  // little-endian, normalized
 };
 
-/// Reusable Montgomery context for a fixed odd modulus m >= 3 (CIOS
-/// multiplication). Construction precomputes n0inv = -m^{-1} mod 2^32 and
-/// R^2 mod m (one full-width division) — the expensive, per-modulus part
-/// of a modular exponentiation. Callers that exponentiate repeatedly
-/// against the same modulus (RSA verification at the SP) build one ctx
-/// per key and amortize that setup across every call.
+/// Reusable Montgomery context for a fixed odd modulus 3 <= m <
+/// 2^kMaxBits. Construction precomputes n0inv = -m^{-1} mod 2^64 and
+/// R^2 mod m (R = 2^(64 n) for n 64-bit limbs; two BigInt divisions) --
+/// the expensive, per-modulus part of a modular exponentiation. Callers
+/// that exponentiate repeatedly against the same modulus (RSA
+/// verification at the SP) build one ctx per key and amortize that setup
+/// across every call.
+///
+/// The kernel is CIOS Montgomery multiplication over 64-bit limbs with
+/// unsigned __int128 products. One exponentiation keeps its operands,
+/// accumulator and 16-entry window table in fixed stack arrays sized for
+/// kMaxBits, so no product allocates.
 ///
 /// Immutable after construction; safe to share across threads for
 /// concurrent mod_exp calls.
 class MontgomeryCtx {
  public:
+  /// Largest modulus the fixed-capacity kernel accepts. Wire parsers
+  /// bound RSA moduli to this (RsaPublicKey::deserialize), so untrusted
+  /// keys never reach the constructor's throw.
+  static constexpr std::size_t kMaxBits = 4096;
+
   /// Exponents of at most this many bits take the plain left-to-right
   /// square-and-multiply path, skipping the windowed path's 16-entry
   /// table precompute (a win for every fixed RSA public exponent:
   /// e = 3, 17, 65537 all land far below the bound).
   static constexpr std::size_t kSmallExpBits = 24;
 
-  /// Throws std::domain_error unless m is odd and >= 3.
+  /// Throws std::domain_error unless m is odd, >= 3 and at most kMaxBits
+  /// bits long.
   explicit MontgomeryCtx(const BigInt& m);
 
   const BigInt& modulus() const { return m_; }
@@ -124,20 +138,29 @@ class MontgomeryCtx {
   /// benches can compare it against the small-exponent path).
   BigInt mod_exp_windowed(const BigInt& base, const BigInt& exp) const;
 
- private:
-  using Limbs = std::vector<std::uint32_t>;
+  /// Heap bytes this context owns (the modulus, in both limb widths, and
+  /// R^2 mod m), for per-client memory accounting.
+  std::size_t memory_bytes() const;
 
-  Limbs to_vec(const BigInt& v) const;
-  /// Montgomery product: a * b * R^{-1} mod m (all vectors length n_).
-  Limbs mul(const Limbs& a, const Limbs& b) const;
-  BigInt pow_small(const Limbs& base_mont, const BigInt& exp) const;
-  BigInt pow_windowed(const Limbs& base_mont, const BigInt& exp) const;
+ private:
+  static constexpr std::size_t kMaxLimbs = kMaxBits / 64;
+  using Limb = std::uint64_t;
+
+  /// out = v mod m as n_ limbs, multiplied into Montgomery form.
+  void to_mont(const BigInt& v, Limb* out) const;
+  /// a * R^{-1} mod m back to a BigInt (leaves Montgomery form).
+  BigInt from_mont(const Limb* a) const;
+  /// Montgomery product out = a * b * R^{-1} mod m over n_ limbs; out
+  /// may alias a or b.
+  void mul(const Limb* a, const Limb* b, Limb* out) const;
+  BigInt pow_small(const Limb* base_mont, const BigInt& exp) const;
+  BigInt pow_windowed(const Limb* base_mont, const BigInt& exp) const;
 
   BigInt m_;
-  std::size_t n_;        // limb count of m
-  std::uint32_t n0inv_;  // -m^{-1} mod 2^32
-  Limbs r2_;             // R^2 mod m, R = 2^(32 n_)
-  Limbs one_;            // 1, zero-padded to n_ limbs
+  std::size_t n_;          // 64-bit limb count of m
+  Limb n0inv_;             // -m^{-1} mod 2^64
+  std::vector<Limb> m64_;  // m as n_ 64-bit limbs
+  std::vector<Limb> r2_;   // R^2 mod m, n_ limbs
 };
 
 }  // namespace tp::crypto

@@ -182,6 +182,10 @@ EcdsaVerifyContext::EcdsaVerifyContext(EcdsaPublicKey key)
   if (const auto q = key_to_point(key_)) table_.emplace(*q);
 }
 
+std::size_t EcdsaVerifyContext::memory_bytes() const {
+  return key_.memory_bytes() + (table_ ? p256::WindowTable::kMemoryBytes : 0);
+}
+
 Status EcdsaVerifyContext::verify(BytesView message,
                                   BytesView signature) const {
   if (!table_) return malformed("EcdsaVerifyContext: invalid public key");

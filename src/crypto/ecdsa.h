@@ -40,6 +40,9 @@ struct EcdsaPublicKey {
   /// Canonical fingerprint: SHA-256 over the serialization.
   Bytes fingerprint() const;
 
+  /// Heap bytes held by the coordinates (per-client memory accounting).
+  std::size_t memory_bytes() const { return x.size() + y.size(); }
+
   bool operator==(const EcdsaPublicKey& other) const = default;
 };
 
@@ -76,8 +79,8 @@ Status ecdsa_verify(const EcdsaPublicKey& key, BytesView message,
                     BytesView signature);
 
 /// Per-key verification context: precomputes a fixed-base window table
-/// for the public point (p256::WindowTable, ~510 KiB, built once per
-/// enrollment) so each verify walks at most 22 + 32 = 54 table entries
+/// for the public point (p256::WindowTable, 60 KiB, built once per
+/// enrollment) so each verify walks at most 22 + 64 = 86 table entries
 /// -- the shared generator comb plus the per-key table -- as mixed point
 /// additions with no doublings and no final field inversion.
 /// Verdict-identical to ecdsa_verify.
@@ -95,6 +98,9 @@ class EcdsaVerifyContext {
 
   /// True when the key parsed as a valid P-256 point.
   bool valid() const { return table_.has_value(); }
+
+  /// Heap bytes this context owns: its key copy and the window table.
+  std::size_t memory_bytes() const;
 
   /// Same contract as ecdsa_verify(public_key(), ...).
   Status verify(BytesView message, BytesView signature) const;

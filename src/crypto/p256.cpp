@@ -574,8 +574,9 @@ AffinePoint jac_to_plain_affine(const JacPt& p) {
   return out;
 }
 
-inline unsigned window_digit8(const U256& k, int j) {
-  return static_cast<unsigned>(k.w[j / 8] >> ((j % 8) * 8)) & 0xFFu;
+/// Scalar bits [4j, 4j + 4): the per-key table's window digit.
+inline unsigned window_digit4(const U256& k, int j) {
+  return static_cast<unsigned>(k.w[j / 16] >> ((j % 16) * 4)) & 0xFu;
 }
 
 /// Scalar bits [12j, 12j + 12), handling windows that straddle a limb
@@ -618,7 +619,7 @@ void batch_normalize(const JacPt* in, std::size_t count, AffPt* out) {
 // every signer and verifier in the process, so unlike the per-key
 // WindowTable its precompute can be traded aggressively for walk length:
 // 12-bit windows mean ceil(256/12) = 22 mixed additions for k*G instead
-// of the 8-bit table's 32. Row j holds d * 4096^j * G for d in 1..4095
+// of the 4-bit table's 64. Row j holds d * 4096^j * G for d in 1..4095
 // (window 21 covers only scalar bits 252..255, so its row has just 15
 // entries); ~5.5 MiB total, built lazily on first use.
 struct G12Comb {
@@ -1043,26 +1044,26 @@ AffinePoint point_add(const AffinePoint& a, const AffinePoint& b) {
 }
 
 struct WindowTable::Impl {
-  // pts[j][d] = (d + 1) * 256^j * base, affine Montgomery form.
-  AffPt pts[32][255];
+  // pts[j][d] = (d + 1) * 16^j * base, affine Montgomery form.
+  AffPt pts[WindowTable::kWindows][WindowTable::kRowLen];
 };
 
 WindowTable::WindowTable(const AffinePoint& base) : impl_(new Impl) {
   // Walk multiples with general adds only: row entry d is (d+1) * wb and
-  // one further add yields 256 * wb, the next window's base. No
+  // one further add yields 16 * wb, the next window's base. No
   // doublings anywhere in the construction.
-  std::vector<JacPt> jac(32 * 255);
+  std::vector<JacPt> jac(kWindows * kRowLen);
   JacPt window_base = jac_from_plain_affine(base);
-  for (int j = 0; j < 32; ++j) {
+  for (int j = 0; j < kWindows; ++j) {
     JacPt t = window_base;
-    for (int d = 0; d < 255; ++d) {
-      jac[static_cast<std::size_t>(j * 255 + d)] = t;
+    for (int d = 0; d < kRowLen; ++d) {
+      jac[static_cast<std::size_t>(j * kRowLen + d)] = t;
       pt_add(t, window_base, t);
     }
     window_base = t;
   }
   // Batch-normalize to affine with a single field inversion (Montgomery
-  // trick over all 8160 z coordinates).
+  // trick over all 960 z coordinates).
   batch_normalize(jac.data(), jac.size(), &impl_->pts[0][0]);
 }
 
@@ -1072,8 +1073,8 @@ WindowTable& WindowTable::operator=(WindowTable&&) noexcept = default;
 
 AffinePoint table_scalar_mul(const WindowTable& table, const U256& k) {
   JacPt acc = jac_infinity();
-  for (int j = 0; j < 32; ++j) {
-    const unsigned d = window_digit8(k, j);
+  for (int j = 0; j < WindowTable::kWindows; ++j) {
+    const unsigned d = window_digit4(k, j);
     if (d) pt_add_affine(acc, table.impl_->pts[j][d - 1], acc);
   }
   return jac_to_plain_affine(acc);
@@ -1099,20 +1100,20 @@ bool verify_r_match(const WindowTable& q_table, const U256& u1,
     const unsigned d1 = window_digit12(u1, j);
     if (d1) __builtin_prefetch(&g.row(j)[d1 - 1]);
   }
-  for (int j = 0; j < 32; ++j) {
-    const unsigned d2 = window_digit8(u2, j);
+  for (int j = 0; j < WindowTable::kWindows; ++j) {
+    const unsigned d2 = window_digit4(u2, j);
     if (d2) __builtin_prefetch(&q_table.impl_->pts[j][d2 - 1]);
   }
   // u1*G through the wide shared comb (<= 22 adds), u2*Q through the
-  // per-key table (<= 32 adds); order is irrelevant, both fold into one
+  // per-key table (<= 64 adds); order is irrelevant, both fold into one
   // accumulator.
   JacPt acc = jac_infinity();
   for (int j = 0; j < G12Comb::kWindows; ++j) {
     const unsigned d1 = window_digit12(u1, j);
     if (d1) pt_add_affine(acc, g.row(j)[d1 - 1], acc);
   }
-  for (int j = 0; j < 32; ++j) {
-    const unsigned d2 = window_digit8(u2, j);
+  for (int j = 0; j < WindowTable::kWindows; ++j) {
+    const unsigned d2 = window_digit4(u2, j);
     if (d2) pt_add_affine(acc, q_table.impl_->pts[j][d2 - 1], acc);
   }
   if (is_zero4(acc.z)) return false;

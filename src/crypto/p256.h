@@ -4,10 +4,11 @@
 // the verifier's hot loop is point arithmetic on this curve. The layer
 // below ecdsa.{h,cpp}: fixed 4x64-bit limb integers, Montgomery
 // arithmetic for both the field prime p and the group order n, Jacobian
-// point formulas (a = -3), and a fully precomputed 8-bit comb table
-// that turns a fixed-base scalar multiplication into ~32 mixed additions
-// with zero doublings -- the trick that makes cached ECDSA verification
-// several times cheaper than RSA-2048 (see EcdsaVerifyContext).
+// point formulas (a = -3), and fully precomputed fixed-base tables (a
+// shared 12-bit comb for the generator, 4-bit windows per public key)
+// that turn a fixed-base scalar multiplication into mixed additions with
+// zero doublings -- the trick behind cached ECDSA verification (see
+// EcdsaVerifyContext).
 //
 // Everything here is deterministic, allocation-light and, like the rest
 // of the crypto substrate, an emulation-grade implementation: branches on
@@ -91,17 +92,19 @@ AffinePoint point_add(const AffinePoint& a, const AffinePoint& b);
 /// fixed, public point shared by every caller in the process, so it
 /// affords a far wider comb than the per-key tables: 22 windows of 12
 /// scalar bits (~5.5 MiB, built lazily on first use), making k*G ~22
-/// mixed additions instead of 32.
+/// mixed additions instead of the per-key table's 64.
 AffinePoint scalar_mul_base(const U256& k);
 
-/// Fully precomputed fixed-base table: 32 windows of 8 scalar bits, 255
-/// multiples each (d * 256^j * B for d in 1..255), stored as affine
-/// Montgomery-form points (~510 KiB). k*B then costs one mixed addition
-/// per non-zero window digit and no doublings -- ~32 additions, half of
-/// what a 4-bit table needs. The width trades verifier-side memory for
-/// per-verify latency: the table is built once per enrolled key (a few
-/// milliseconds, like RsaVerifyContext's R^2 precompute but heavier) and
-/// then amortized over every transaction confirmation that key signs.
+/// Fully precomputed fixed-base table: 64 windows of 4 scalar bits, 15
+/// multiples each (d * 16^j * B for d in 1..15), stored as affine
+/// Montgomery-form points (60 KiB). k*B then costs one mixed addition
+/// per non-zero window digit and no doublings -- at most 64 additions.
+/// The table is built once per enrolled key (960 point additions and one
+/// batched inversion, like RsaVerifyContext's R^2 precompute but
+/// heavier) and then amortized over every transaction confirmation that
+/// key signs. Wider windows shorten the walk but grow the build and the
+/// bytes by 2^w / w: 8-bit windows (32 x 255 entries) halve the walk at
+/// 8.5x the build time and memory per key (EXPERIMENTS.md F15).
 ///
 /// Immutable after construction; safe to share across threads.
 class WindowTable {
@@ -113,8 +116,12 @@ class WindowTable {
   WindowTable(WindowTable&&) noexcept;
   WindowTable& operator=(WindowTable&&) noexcept;
 
-  /// Approximate heap footprint, for capacity planning.
-  static constexpr std::size_t kMemoryBytes = 32 * 255 * 2 * 32;
+  static constexpr int kWindows = 64;  // 4-bit windows over 256 bits
+  static constexpr int kRowLen = 15;   // non-zero digits 1..15
+
+  /// Heap footprint of the point table, for capacity planning.
+  static constexpr std::size_t kMemoryBytes =
+      kWindows * kRowLen * 2 * kFieldSize;
 
  private:
   friend bool verify_r_match(const WindowTable&, const U256&, const U256&,

@@ -81,10 +81,17 @@ Result<RsaPublicKey> RsaPublicKey::deserialize(BytesView data) {
   if (key.n.is_zero() || key.e.is_zero()) {
     return Error{Err::kCryptoError, "RsaPublicKey: zero component"};
   }
+  if (key.n.bit_length() > MontgomeryCtx::kMaxBits) {
+    return Error{Err::kCryptoError, "RsaPublicKey: modulus too large"};
+  }
   return key;
 }
 
 Bytes RsaPublicKey::fingerprint() const { return Sha256::hash(serialize()); }
+
+std::size_t RsaPublicKey::memory_bytes() const {
+  return (n.limbs().size() + e.limbs().size()) * sizeof(std::uint32_t);
+}
 
 Bytes RsaPrivateKey::serialize() const {
   BinaryWriter w;
@@ -183,9 +190,14 @@ Status rsa_verify(const RsaPublicKey& key, HashAlg alg, BytesView message,
 
 RsaVerifyContext::RsaVerifyContext(RsaPublicKey key)
     : key_(std::move(key)), k_(key_.modulus_bytes()) {
-  if (key_.n.is_odd() && key_.n >= BigInt(3)) {
+  if (key_.n.is_odd() && key_.n >= BigInt(3) &&
+      key_.n.bit_length() <= MontgomeryCtx::kMaxBits) {
     mont_.emplace(key_.n);
   }
+}
+
+std::size_t RsaVerifyContext::memory_bytes() const {
+  return key_.memory_bytes() + (mont_ ? mont_->memory_bytes() : 0);
 }
 
 Status RsaVerifyContext::verify(HashAlg alg, BytesView message,

@@ -25,10 +25,16 @@ struct RsaPublicKey {
   std::size_t modulus_bytes() const { return (n.bit_length() + 7) / 8; }
 
   Bytes serialize() const;
+  /// Rejects zero components and moduli longer than
+  /// MontgomeryCtx::kMaxBits (kCryptoError), so a parsed key always fits
+  /// the Montgomery kernel.
   static Result<RsaPublicKey> deserialize(BytesView data);
 
   /// Canonical fingerprint: SHA-256 over the serialization.
   Bytes fingerprint() const;
+
+  /// Heap bytes held by n and e (per-client memory accounting).
+  std::size_t memory_bytes() const;
 
   bool operator==(const RsaPublicKey& other) const = default;
 };
@@ -68,11 +74,16 @@ Status rsa_verify(const RsaPublicKey& key, HashAlg alg, BytesView message,
 class RsaVerifyContext {
  public:
   /// Keys with a degenerate modulus (even or < 3 — never produced by
-  /// rsa_generate, but deserialization accepts them) fall back to the
-  /// uncached rsa_verify path instead of failing construction.
+  /// rsa_generate, but deserialization accepts them) or one beyond
+  /// MontgomeryCtx::kMaxBits fall back to the uncached rsa_verify path
+  /// instead of failing construction.
   explicit RsaVerifyContext(RsaPublicKey key);
 
   const RsaPublicKey& public_key() const { return key_; }
+
+  /// Heap bytes this context owns: its key copy and the Montgomery
+  /// precompute.
+  std::size_t memory_bytes() const;
 
   /// Same contract as rsa_verify(public_key(), ...).
   Status verify(HashAlg alg, BytesView message, BytesView signature) const;

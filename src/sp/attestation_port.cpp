@@ -141,6 +141,17 @@ proto::RejectCode AttestationCryptoPort::verify_enrollment(
   return proto::RejectCode::kNone;
 }
 
+std::size_t AttestationCryptoPort::enrolled_memory_bytes() const {
+  using Node = std::pair<const std::string, tpm::AttestationVerifyContext>;
+  constexpr std::size_t kNodeBytes =
+      sizeof(Node) + sizeof(void*) + sizeof(std::size_t);
+  std::size_t n = 0;
+  for (const auto& [id, ctx] : contexts_) {
+    n += kNodeBytes + id.size() + ctx.memory_bytes();
+  }
+  return n;
+}
+
 proto::CryptoPort::ConfirmHandle AttestationCryptoPort::confirm_handle(
     std::string_view client_id) const {
   const auto it = contexts_.find(std::string(client_id));

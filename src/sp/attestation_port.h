@@ -42,6 +42,13 @@ class AttestationCryptoPort final : public proto::CryptoPort {
     return contexts_.count(client_id) != 0;
   }
   std::size_t enrolled_count() const { return contexts_.size(); }
+  /// Bytes the enrolled clients pin -- the term of the SP's footprint
+  /// that grows with the population. Per client: its hash-map node (the
+  /// id and context objects plus the node's link and cached hash), the
+  /// id's characters, and the context's heap (key copies and
+  /// precompute). The bucket array, sized at construction, is not
+  /// counted.
+  std::size_t enrolled_memory_bytes() const;
   /// The context map itself, for extract_for_handoff/import_handoff (a
   /// rebalance moves contexts by node extraction so the precompute is
   /// never redone).

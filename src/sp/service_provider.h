@@ -339,12 +339,15 @@ class ServiceProvider {
   /// resident on this SP).
   std::size_t enrolled_count() const { return crypto_.enrolled_count(); }
 
-  /// Heap bytes pinned by this SP's bounded state (session tables,
-  /// replay cache, submit-dedup map) -- constant over its lifetime; the
-  /// per-shard flat-memory gauge the cluster publishes.
+  /// Heap bytes pinned by this SP: the bounded state (session tables,
+  /// replay cache, submit-dedup map), which is constant over its
+  /// lifetime, plus every enrolled client's id, key and verify context,
+  /// which grows with the population (AttestationCryptoPort::
+  /// enrolled_memory_bytes). The per-shard memory gauge the cluster
+  /// publishes. Walks the enrolled map: read it quiesced.
   std::size_t memory_bytes() const {
     return session_table_memory_bytes() + replay_cache_memory_bytes() +
-           submit_dedup_memory_bytes();
+           submit_dedup_memory_bytes() + crypto_.enrolled_memory_bytes();
   }
 
   /// Removes and returns every piece of per-client state whose session

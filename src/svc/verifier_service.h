@@ -174,14 +174,6 @@ class VerifierService {
     return n;
   }
 
-  /// Heap bytes pinned by every shard SP's bounded state. Safe at any
-  /// time: it reads only capacities fixed at construction.
-  std::size_t sp_memory_bytes() const {
-    std::size_t n = 0;
-    for (const auto& shard : shards_) n += shard->sp->memory_bytes();
-    return n;
-  }
-
   obs::Registry& metrics() { return *registry_; }
 
   /// Protocol stats aggregated across all shards (safe while running).

@@ -83,6 +83,15 @@ AttestationVerifyContext::AttestationVerifyContext(AttestationKey key)
   }
 }
 
+std::size_t AttestationVerifyContext::memory_bytes() const {
+  std::size_t n = 0;
+  if (key_.rsa) n += key_.rsa->memory_bytes();
+  if (key_.ecdsa) n += key_.ecdsa->memory_bytes();
+  if (rsa_) n += rsa_->memory_bytes();
+  if (ecdsa_) n += ecdsa_->memory_bytes();
+  return n;
+}
+
 Status AttestationVerifyContext::verify(crypto::HashAlg alg, BytesView message,
                                         BytesView signature) const {
   if (key_.format == QuoteFormat::kTpm2) {

@@ -88,6 +88,10 @@ class AttestationVerifyContext {
   QuoteFormat format() const { return key_.format; }
   const AttestationKey& key() const { return key_; }
 
+  /// Heap bytes this context owns: the tagged key and the per-scheme
+  /// verify context (its own key copy plus the precompute).
+  std::size_t memory_bytes() const;
+
   /// Verifies `signature` over `message`. `alg` selects the RSA
   /// DigestInfo hash; the ECDSA backend is SHA-256-only and rejects any
   /// other request with kAuthFail.

@@ -1,5 +1,6 @@
 // Crypto substrate tests: published vectors for SHA-1/SHA-256/HMAC/AES,
-// arithmetic properties for the bignum layer, and RSA round-trips.
+// arithmetic properties for the bignum layer, the Montgomery kernel
+// against a BigInt reference, and RSA round-trips.
 #include <gtest/gtest.h>
 
 #include "crypto/aes.h"
@@ -10,6 +11,7 @@
 #include "crypto/rsa.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
+#include "tpm/attestation.h"
 #include "util/rng.h"
 
 namespace tp::crypto {
@@ -414,6 +416,85 @@ TEST(BigInt, ModExpEvenModulus) {
             BigInt(343ull % 48));
 }
 
+// ---- Montgomery kernel (64-bit limbs) vs BigInt reference ------------
+
+// Right-to-left square-and-multiply on BigInt's schoolbook (a * b) % m:
+// no Montgomery arithmetic anywhere, so it checks the kernel
+// independently.
+BigInt naive_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
+  BigInt result = BigInt(1) % m;
+  BigInt cur = base % m;
+  for (std::size_t i = 0; i < exp.bit_length(); ++i) {
+    if (exp.bit(i)) result = (result * cur) % m;
+    cur = (cur * cur) % m;
+  }
+  return result;
+}
+
+// Random odd modulus of exactly `bits` bits.
+BigInt random_odd_modulus(std::size_t bits,
+                          const std::function<Bytes(std::size_t)>& entropy) {
+  const std::size_t bytes = (bits + 7) / 8;
+  BigInt m = BigInt::from_bytes_be(entropy(bytes)) >> (bytes * 8 - bits);
+  m.set_bit(bits - 1);
+  m.set_bit(0);
+  return m;
+}
+
+TEST(MontgomeryKernel, MatchesBigIntReferenceAtEverySize) {
+  auto entropy = test_entropy("mont64");
+  std::vector<BigInt> moduli;
+  // 1-3 kernel limbs (64-bit), including limb-boundary widths; RSA sizes
+  // 512-4096; and widths with an odd number of 32-bit limbs, where the
+  // top 64-bit limb is half empty.
+  for (std::size_t bits : {3u, 32u, 33u, 64u, 65u, 96u, 128u, 129u, 160u,
+                           192u, 512u, 544u, 800u, 1024u, 1056u, 2048u,
+                           3072u, 4096u}) {
+    moduli.push_back(random_odd_modulus(bits, entropy));
+  }
+  // Carry-heavy shapes: all-ones (2^k - 1) and sparse (2^(k-1) + 1).
+  for (std::size_t bits : {64u, 4096u}) {
+    moduli.push_back((BigInt(1) << bits) - BigInt(1));
+    moduli.push_back((BigInt(1) << (bits - 1)) + BigInt(1));
+  }
+  moduli.push_back(BigInt(3));
+
+  const BigInt e65537(65537);
+  for (const BigInt& m : moduli) {
+    SCOPED_TRACE("modulus bits=" + std::to_string(m.bit_length()));
+    const MontgomeryCtx ctx(m);
+    const std::size_t bytes = (m.bit_length() + 7) / 8;
+    std::vector<BigInt> operands = {BigInt(0), BigInt(1), m - BigInt(1)};
+    for (int i = 0; i < 3; ++i) {
+      operands.push_back(BigInt::from_bytes_be(entropy(bytes)) % m);
+    }
+    operands.push_back(BigInt::from_bytes_be(entropy(2 * bytes)));  // >= m
+    const BigInt wide_exp = BigInt::from_bytes_be(entropy(8));
+    for (const BigInt& a : operands) {
+      SCOPED_TRACE("operand " + a.to_hex());
+      const BigInt r = a % m;
+      EXPECT_EQ(ctx.mod_exp(a, BigInt(1)), r);
+      EXPECT_EQ(ctx.mod_exp(a, BigInt(2)), (r * r) % m);
+      EXPECT_EQ(ctx.mod_exp(a, BigInt(3)), ((r * r) % m * r) % m);
+      EXPECT_EQ(ctx.mod_exp(a, e65537), naive_pow(a, e65537, m));
+      EXPECT_EQ(ctx.mod_exp_windowed(a, e65537), naive_pow(a, e65537, m));
+      EXPECT_EQ(ctx.mod_exp(a, wide_exp), naive_pow(a, wide_exp, m));
+    }
+  }
+}
+
+TEST(MontgomeryKernel, CapacityIsKMaxBits) {
+  auto entropy = test_entropy("mont64-capacity");
+  EXPECT_NO_THROW(MontgomeryCtx(random_odd_modulus(4096, entropy)));
+  EXPECT_THROW(MontgomeryCtx(random_odd_modulus(4097, entropy)),
+               std::domain_error);
+  // BigInt::mod_exp stays total beyond the kernel's capacity.
+  const BigInt big = random_odd_modulus(4097, entropy);
+  const BigInt base = BigInt::from_bytes_be(entropy(64));
+  EXPECT_EQ(BigInt::mod_exp(base, BigInt(65537), big),
+            naive_pow(base, BigInt(65537), big));
+}
+
 TEST(BigInt, FermatLittleTheoremProperty) {
   // For prime p and a not divisible by p: a^(p-1) = 1 mod p.
   const BigInt p = BigInt::from_hex("ffffffffffffffc5");  // 2^64 - 59, prime
@@ -626,6 +707,38 @@ TEST_F(RsaTest, PrivateKeySerializationRoundTrip) {
 TEST_F(RsaTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(RsaPublicKey::deserialize(Bytes{1, 2, 3}).ok());
   EXPECT_FALSE(RsaPrivateKey::deserialize(Bytes{}).ok());
+}
+
+TEST(RsaKeyParse, ModulusBoundedAtKernelCapacity) {
+  // An oversized AIK or confirmation key must fail at parse (a typed
+  // kCryptoError that the SP maps to kMalformedAikCertificate or
+  // kMalformedPublicKey), never reach MontgomeryCtx's throw.
+  auto entropy = test_entropy("rsa-parse-bound");
+  const RsaPublicKey oversized{random_odd_modulus(4097, entropy),
+                               BigInt(65537)};
+  const RsaPublicKey largest{random_odd_modulus(4096, entropy),
+                             BigInt(65537)};
+
+  const auto rejected = RsaPublicKey::deserialize(oversized.serialize());
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.error().code, Err::kCryptoError);
+  EXPECT_FALSE(
+      tpm::parse_public_key(tpm::QuoteFormat::kTpm12, oversized.serialize())
+          .ok());
+
+  const auto parsed = RsaPublicKey::deserialize(largest.serialize());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value(), largest);
+  EXPECT_TRUE(
+      tpm::parse_public_key(tpm::QuoteFormat::kTpm12, largest.serialize())
+          .ok());
+
+  // A context built around the parser (direct construction) falls back
+  // to the uncached path instead of throwing.
+  const RsaVerifyContext ctx(oversized);
+  const Bytes sig(oversized.modulus_bytes(), 0x01);
+  EXPECT_EQ(ctx.verify(HashAlg::kSha256, bytes_of("m"), sig).code(),
+            Err::kAuthFail);
 }
 
 TEST_F(RsaTest, DeterministicKeygen) {

@@ -6,8 +6,8 @@
 //
 //   1. A deterministic corpus of protocol traffic -- clean exchanges,
 //      byte-identical retransmits, replayed signatures, cross-client
-//      confirms, expired sessions, mutated/garbage frames, batch-flush
-//      conflicts -- is replayed through handle_frame one frame at a time
+//      confirms, expired sessions, mutated/garbage frames, in-batch
+//      duplicates -- is replayed through handle_frame one frame at a time
 //      and through handle_frame_batch in whole-epoch chunks; every
 //      response must match byte for byte and the final counters/tables
 //      must agree.
@@ -152,14 +152,15 @@ class CorpusBuilder {
                                  core::Verdict::kConfirmed,
                                  rng_.next_bytes(96)));
 
-    // Epoch 2: batch-flush conflicts -- duplicate tx ids and duplicate
-    // signature bytes inside one epoch, interleaved with other types.
+    // Epoch 2: in-batch duplicates -- duplicate tx ids and duplicate
+    // signature bytes inside one epoch (one handle_frame_batch call),
+    // interleaved with other types.
     begin_epoch(corpus, SimTime{0} + SimDuration::seconds(2));
     const auto [confirm_b, sig_b] = make_confirmed_tx(corpus, "batch 1");
     const auto [confirm_c, sig_c] = make_confirmed_tx(corpus, "batch 2");
     record(corpus, confirm_b);
     record(corpus, confirm_c);
-    record(corpus, confirm_b);  // same tx id + signature: forces a flush
+    record(corpus, confirm_b);  // same tx id + signature: a retransmit
     record(corpus, confirm_frame("diff-client",
                                  submit_tx(corpus, "batch 3"),
                                  core::Verdict::kConfirmed, sig_c));

@@ -3,9 +3,14 @@
 // the simulated network.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
+
 #include "core/trusted_path_pal.h"
+#include "crypto/p256.h"
 #include "pal/human_agent.h"
 #include "sp/deployment.h"
+#include "sp/fleet.h"
 
 namespace tp::sp {
 namespace {
@@ -388,6 +393,51 @@ TEST(ServiceProviderTest, TxSessionsEvictOldestUnderPressure) {
   const auto result = world.sp().complete_transaction(msg);
   EXPECT_FALSE(result.accepted);
   EXPECT_EQ(result.code, proto::RejectCode::kUnknownTx);
+}
+
+TEST(ServiceProviderTest, MemoryBytesGrowByPerClientBytesPerFormat) {
+  // memory_bytes() is the flat bounded tables plus, per enrolled client,
+  // its id, key and verify context. Every enrollment of one format adds
+  // the same bytes (the ids below have equal length), so N clients of
+  // each format grow it by exactly N x that format's per-client bytes;
+  // EXPERIMENTS.md F9 publishes the figures this test prints.
+  constexpr std::size_t kPerFormat = 3;
+  FleetConfig cfg;
+  cfg.num_clients = 2 * kPerFormat;  // "fleet-client-0" .. "fleet-client-5"
+  cfg.seed = bytes_of("sp-test:memory");
+  cfg.client_key_bits = 2048;  // the deployed confirmation-key size
+  cfg.backend_mix = {tpm::QuoteFormat::kTpm12, tpm::QuoteFormat::kTpm2};
+  Fleet fleet(cfg);
+  ServiceProvider& sp = fleet.sp();
+  const std::size_t flat = sp.memory_bytes();
+  EXPECT_EQ(flat, sp.session_table_memory_bytes() +
+                      sp.replay_cache_memory_bytes() +
+                      sp.submit_dedup_memory_bytes());
+
+  std::array<std::size_t, tpm::kNumQuoteFormats> per_client{};
+  std::size_t before = flat;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    ASSERT_TRUE(fleet.client(i).enroll().ok()) << "client " << i;
+    const std::size_t grown = sp.memory_bytes() - before;
+    before = sp.memory_bytes();
+    std::size_t& figure = per_client[tpm::quote_format_index(fleet.backend(i))];
+    if (figure == 0) figure = grown;
+    EXPECT_EQ(grown, figure) << "client " << i;
+  }
+  const std::size_t tpm12 = per_client[0];
+  const std::size_t tpm2 = per_client[1];
+  EXPECT_EQ(sp.enrolled_count(), 2 * kPerFormat);
+  EXPECT_EQ(sp.memory_bytes() - flat, kPerFormat * tpm12 + kPerFormat * tpm2);
+  // TPM 2.0: the 60 KiB P-256 window table plus key copies and the node.
+  EXPECT_GT(tpm2, crypto::p256::WindowTable::kMemoryBytes);
+  EXPECT_LT(tpm2, crypto::p256::WindowTable::kMemoryBytes + 1024);
+  // TPM 1.2: three copies of the 256-byte RSA-2048 modulus (the tagged
+  // key, the verify context's key, the Montgomery context), its 64-bit
+  // limb copy and R^2 mod n, plus the node.
+  EXPECT_GT(tpm12, 5 * 256u);
+  EXPECT_LT(tpm12, 4096u);
+  std::printf("per-client bytes (14-char id): tpm12=%zu tpm2=%zu\n", tpm12,
+              tpm2);
 }
 
 TEST(ServiceProviderTest, ResultsCarryTypedCodeOnTheWire) {

@@ -130,6 +130,34 @@ TEST(P256, AdditionIdentities) {
 
 TEST(P256, WindowTableMatchesReferenceOnRandomPoints) {
   crypto::HmacDrbg rng(bytes_of("tpm2-test:table"));
+  // Edge scalars for the 4-bit table: 1, n - 1, every nibble 0xF (the
+  // longest walk: all 64 windows at the last row entry), and scalars
+  // with a single non-zero window d * 16^j at the limb boundaries.
+  std::vector<p256::U256> edges;
+  p256::U256 one{};
+  one.w[0] = 1;
+  edges.push_back(one);
+  p256::U256 n_minus_1 = p256::order_n();
+  n_minus_1.w[0] -= 1;  // n is odd; no borrow
+  edges.push_back(n_minus_1);
+  p256::U256 all_f{};
+  for (auto& limb : all_f.w) limb = ~std::uint64_t{0};
+  edges.push_back(all_f);
+  for (const auto& [digit, window] :
+       std::vector<std::pair<std::uint64_t, int>>{{1, 0},
+                                                  {15, 0},
+                                                  {1, 1},
+                                                  {8, 15},
+                                                  {15, 16},
+                                                  {1, 31},
+                                                  {15, 32},
+                                                  {8, 48},
+                                                  {1, 63},
+                                                  {15, 63}}) {
+    p256::U256 k{};
+    k.w[window / 16] = digit << (4 * (window % 16));
+    edges.push_back(k);
+  }
   for (int i = 0; i < 4; ++i) {
     const crypto::EcdsaPrivateKey key = random_key(rng);
     p256::AffinePoint q;
@@ -138,9 +166,12 @@ TEST(P256, WindowTableMatchesReferenceOnRandomPoints) {
     q.infinity = false;
     ASSERT_TRUE(p256::on_curve(q));
     const p256::WindowTable table(q);
+    std::vector<p256::U256> scalars = edges;
     for (int j = 0; j < 4; ++j) {
-      const p256::U256 k =
-          p256::reduce_mod_n(p256::from_bytes_be(rng.generate(32)));
+      scalars.push_back(
+          p256::reduce_mod_n(p256::from_bytes_be(rng.generate(32))));
+    }
+    for (const p256::U256& k : scalars) {
       const p256::AffinePoint ref = p256::scalar_mul(q, k);
       const p256::AffinePoint fast = p256::table_scalar_mul(table, k);
       EXPECT_EQ(ref.infinity, fast.infinity);
