@@ -22,6 +22,7 @@
 #include "host/adversary.h"
 #include "pal/human_agent.h"
 #include "sp/deployment.h"
+#include "sp_frames.h"
 
 using namespace tp;
 
@@ -42,13 +43,13 @@ double no_defense_rate(std::uint64_t seed) {
   for (int i = 0; i < kTrials; ++i) {
     const core::TxSubmit submit{"victim", "forged #" + std::to_string(i),
                                 rng.next_bytes(32)};
-    const auto challenge = sp.begin_transaction(submit);
+    const auto challenge = test::begin_transaction(sp, submit);
     core::TxConfirm confirm;
     confirm.client_id = "victim";
     confirm.tx_id = challenge.tx_id;
     confirm.verdict = core::Verdict::kConfirmed;
     confirm.signature = rng.next_bytes(64);  // garbage; nobody checks
-    if (sp.complete_transaction(confirm).accepted) ++wins;
+    if (test::complete_transaction(sp, confirm).accepted) ++wins;
   }
   return static_cast<double>(wins) / kTrials;
 }

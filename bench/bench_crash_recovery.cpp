@@ -4,9 +4,9 @@
 // record is appended inside the frame path, before the reply leaves the
 // building. This experiment prices that contract from both ends:
 //
-//   - Steady-state overhead. A bench_svc_throughput batched-drain row
-//     (1 worker, max_batch 16), re-run identically with and without a
-//     DurableLog attached to the shard. This is the number the <= 15%
+//   - Steady-state overhead. A batched-drain svc row (one worker,
+//     max_batch 16), run identically with and without a DurableLog
+//     attached to its SP. This is the number the <= 15%
 //     acceptance bound is about: journaling amortized into the deployed
 //     serving path. A second, signature-free raw row (trusted-path
 //     verification off, bare handle_frame loop) shows the worst case:
@@ -88,8 +88,8 @@ bool accepted(BytesView response) {
 
 // ------------------------------------------------- steady-state overhead
 
-/// bench_svc_throughput's best batched row (1 worker, max_batch 16),
-/// optionally with a DurableLog attached to the shard. Confirmations
+/// A batched svc row (one worker, max_batch 16), optionally with a
+/// DurableLog attached to its SP. Confirmations
 /// are pre-minted through real PAL sessions outside the timing window
 /// (client-side work); the timed blast is one producer thread per
 /// client, exactly the F10 method.
@@ -107,15 +107,14 @@ double svc_batched_tps(std::size_t total_tx, bool durable) {
   store::DurableLog log(log_config);
 
   svc::SvcConfig svc_config;
-  svc_config.num_workers = 1;  // durable mode serializes one shard
   svc_config.queue_depth = 64;
   svc_config.max_batch = 16;
   svc_config.sp = fleet.sp_config();
   if (durable) svc_config.sp.durable = &log;
   svc::VerifierService service(std::move(svc_config));
   service.start();
-  fleet.route_frames_to([&service](const std::string& id, BytesView frame) {
-    return service.call(id, frame).frame;
+  fleet.route_frames_to([&service](const std::string&, BytesView frame) {
+    return service.call(frame).frame;
   });
   if (fleet.enroll_all() != fleet.size()) std::abort();
 
@@ -130,7 +129,7 @@ double svc_batched_tps(std::size_t total_tx, bool durable) {
     for (std::size_t j = 0; j < per_client; ++j) {
       TxSubmit submit{id, "pay " + std::to_string(j), Bytes(64, 1)};
       const auto challenge_response =
-          service.call(id, envelope(MsgType::kTxSubmit, submit.serialize()));
+          service.call(envelope(MsgType::kTxSubmit, submit.serialize()));
       if (challenge_response.status != svc::SvcStatus::kOk) std::abort();
       auto opened = open_envelope(challenge_response.frame);
       auto challenge = TxChallenge::deserialize(opened.value().second);
@@ -156,9 +155,8 @@ double svc_batched_tps(std::size_t total_tx, bool durable) {
     producers.emplace_back([&, i] {
       std::vector<std::future<svc::SvcResponse>> pending;
       pending.reserve(corpus[i].size());
-      const std::string& id = fleet.client_id(i);
       for (auto& frame : corpus[i]) {
-        pending.push_back(service.submit(id, std::move(frame)));
+        pending.push_back(service.submit(std::move(frame)));
       }
       for (auto& future : pending) {
         svc::SvcResponse response = future.get();
@@ -312,7 +310,7 @@ void enrolled_recovery_row(std::size_t num_clients) {
   const auto start = std::chrono::steady_clock::now();
   sp::ServiceProvider sp(sp_config);
   const double elapsed = ms_since(start);
-  if (sp.stats_snapshot().enrolled != num_clients) std::abort();
+  if (sp.stats().enrolled != num_clients) std::abort();
   char row[256];
   std::snprintf(row, sizeof(row),
                 "{\"bench\":\"crash_recovery\",\"row\":\"enrolled_recovery\","

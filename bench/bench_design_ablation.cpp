@@ -16,6 +16,7 @@
 #include "pal/human_agent.h"
 #include "pal/session.h"
 #include "sp/deployment.h"
+#include "sp_frames.h"
 #include "tpm/chip_profile.h"
 
 using namespace tp;
@@ -91,7 +92,7 @@ Costs run(const std::string& chip) {
                   .take();
     // Produce one genuine statement signature via the normal path.
     core::TxSubmit submit{"ablation", "pay 10", Bytes(64, 1)};
-    const auto challenge = world.sp().begin_transaction(submit);
+    const auto challenge = test::begin_transaction(world.sp(), submit);
     core::PalConfirmInput in;
     in.tx_summary = "pay 10";
     in.tx_digest = submit.digest();

@@ -10,6 +10,7 @@
 #include "core/trusted_path_pal.h"
 #include "pal/session.h"
 #include "sp/deployment.h"
+#include "sp_frames.h"
 #include "tpm/chip_profile.h"
 
 using namespace tp;
@@ -21,7 +22,7 @@ struct EnrollCost {
   double seal_ms;        // virtual, TPM
   double quote_ms;       // virtual, TPM
   double session_ms;     // virtual, whole session (machine)
-  double sp_verify_ms;   // REAL time of ServiceProvider::complete_enrollment
+  double sp_verify_ms;   // REAL time of the SP handling EnrollComplete
 };
 
 EnrollCost run(const std::string& chip, std::uint32_t key_bits) {
@@ -37,7 +38,7 @@ EnrollCost run(const std::string& chip, std::uint32_t key_bits) {
   SimClock& clock = world.clock();
   const std::size_t spans_before = clock.spans().size();
   auto challenge =
-      world.sp().begin_enrollment(core::EnrollBegin{"bench"});
+      test::begin_enrollment(world.sp(), core::EnrollBegin{"bench"});
 
   core::PalEnrollInput in;
   in.nonce = challenge.nonce;
@@ -65,7 +66,7 @@ EnrollCost run(const std::string& chip, std::uint32_t key_bits) {
           .serialize();
 
   const auto wall_start = std::chrono::steady_clock::now();
-  const auto result = world.sp().complete_enrollment(msg);
+  const auto result = test::complete_enrollment(world.sp(), msg);
   const auto wall_end = std::chrono::steady_clock::now();
   if (!result.accepted) std::abort();
   cost.sp_verify_ms =

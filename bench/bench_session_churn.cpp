@@ -22,6 +22,7 @@
 #include "core/trusted_path_pal.h"
 #include "proto/session_table.h"
 #include "sp/service_provider.h"
+#include "sp_frames.h"
 #include "util/rng.h"
 
 using namespace tp;
@@ -48,12 +49,16 @@ static void BM_SessionChurn(benchmark::State& state) {
   // age out mid-run (the TTL covers ~120k submissions).
   std::int64_t now_ns = 0;
   std::uint64_t settled = 0;
+  std::uint64_t order = 0;
 
   for (auto _ : state) {
     now_ns += 1'000'000;
     sp.advance_time_to(SimTime{now_ns});
-    const core::TxChallenge challenge = sp.begin_transaction(
-        core::TxSubmit{"alice", "pay 10 EUR", bytes_of("p")});
+    // A distinct payload per submission: a byte-identical TxSubmit would
+    // replay the live challenge instead of opening a session.
+    const core::TxChallenge challenge = test::begin_transaction(
+        sp, core::TxSubmit{"alice", "pay 10 EUR",
+                           bytes_of("order " + std::to_string(order++))});
     if (static_cast<int>(rng.next_below(100)) < abandon_pct) {
       continue;  // walk away: the table must clean this up itself
     }
@@ -61,7 +66,7 @@ static void BM_SessionChurn(benchmark::State& state) {
     confirm.client_id = "alice";
     confirm.tx_id = challenge.tx_id;
     confirm.verdict = core::Verdict::kConfirmed;
-    benchmark::DoNotOptimize(sp.complete_transaction(confirm));
+    benchmark::DoNotOptimize(test::complete_transaction(sp, confirm));
     ++settled;
   }
 

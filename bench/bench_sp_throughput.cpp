@@ -12,8 +12,8 @@
 //                                    backend's P-256 signature (F9: the
 //                                    per-confirmation crypto drops by
 //                                    the RSA-2048/ECDSA verify ratio);
-//   3. BM_SpAcceptPath            -- full complete_transaction on a
-//                                    corpus of GENUINE confirmations,
+//   3. BM_SpAcceptPath            -- full handle_frame on a corpus of
+//                                    GENUINE TxConfirm frames,
 //                                    pre-generated through real PAL
 //                                    sessions outside the timing loop,
 //                                    for a tpm12, tpm2 and mixed 50/50
@@ -33,6 +33,7 @@
 #include "devices/human.h"
 #include "pal/session.h"
 #include "sp/service_provider.h"
+#include "sp_frames.h"
 #include "tpm/privacy_ca.h"
 
 using namespace tp;
@@ -72,7 +73,7 @@ struct Fixture {
       member.driver->set_user_agent(&agent);
 
       const EnrollChallenge challenge =
-          sp.begin_enrollment(EnrollBegin{member.id});
+          test::begin_enrollment(sp, EnrollBegin{member.id});
       PalEnrollInput in;
       in.nonce = challenge.nonce;
       in.key_bits = 1024;
@@ -94,7 +95,7 @@ struct Fixture {
             ca.certify(member.id, member.platform->tpm().aik_public())
                 .serialize();
       }
-      if (!sp.complete_enrollment(complete).accepted) std::abort();
+      if (!test::complete_enrollment(sp, complete).accepted) std::abort();
       members.push_back(std::move(member));
     }
   }
@@ -111,13 +112,13 @@ struct Fixture {
     return cfg;
   }
 
-  /// Mints one genuine (pending-at-SP, signed) confirmation; members
+  /// Mints one genuine (pending-at-SP, signed) TxConfirm frame; members
   /// take turns, so a two-member fixture interleaves 1.2 and 2.0
   /// signatures 50/50.
-  TxConfirm mint(std::uint64_t i) {
+  Bytes mint(std::uint64_t i) {
     Member& member = members[i % members.size()];
     TxSubmit submit{member.id, "pay " + std::to_string(i), Bytes(64, 1)};
-    const TxChallenge challenge = sp.begin_transaction(submit);
+    const TxChallenge challenge = test::begin_transaction(sp, submit);
     PalConfirmInput in;
     in.tx_summary = submit.summary;
     in.tx_digest = submit.digest();
@@ -130,7 +131,7 @@ struct Fixture {
     confirm.tx_id = challenge.tx_id;
     confirm.verdict = out.value().verdict;
     confirm.signature = out.value().signature;
-    return confirm;
+    return envelope(MsgType::kTxConfirm, confirm.serialize());
   }
 
   struct Member {
@@ -259,15 +260,15 @@ static void BM_SpAcceptPath(benchmark::State& state) {
   constexpr int kBatch = 64;
   for (auto _ : state) {
     state.PauseTiming();
-    std::vector<TxConfirm> corpus;
+    std::vector<Bytes> corpus;
     corpus.reserve(kBatch);
     for (int i = 0; i < kBatch; ++i) {
       corpus.push_back(fixture.mint(state.iterations() * kBatch +
                                     static_cast<std::uint64_t>(i)));
     }
     state.ResumeTiming();
-    for (const auto& confirm : corpus) {
-      benchmark::DoNotOptimize(fixture.sp.complete_transaction(confirm));
+    for (const Bytes& frame : corpus) {
+      benchmark::DoNotOptimize(fixture.sp.handle_frame(frame));
     }
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
@@ -284,15 +285,16 @@ static void BM_SpRejectPath(benchmark::State& state) {
     state.PauseTiming();
     TxSubmit submit{"client-0", "forged " + std::to_string(i++),
                     Bytes(64, 1)};
-    const TxChallenge challenge = fixture.sp.begin_transaction(submit);
-    state.ResumeTiming();
-
+    const TxChallenge challenge = test::begin_transaction(fixture.sp, submit);
     TxConfirm confirm;
     confirm.client_id = "client-0";
     confirm.tx_id = challenge.tx_id;
     confirm.verdict = Verdict::kConfirmed;
     confirm.signature = junk_sig;
-    benchmark::DoNotOptimize(fixture.sp.complete_transaction(confirm));
+    const Bytes frame = envelope(MsgType::kTxConfirm, confirm.serialize());
+    state.ResumeTiming();
+
+    benchmark::DoNotOptimize(fixture.sp.handle_frame(frame));
   }
   state.SetItemsProcessed(state.iterations());
   state.SetLabel("forged confirmations rejected");

@@ -1,11 +1,13 @@
-// Verifier daemon: the full lifecycle of the concurrent serving runtime.
+// Verifier daemon: the full lifecycle of the serving runtime.
 //
-//   start  -> spin up N verifier shards behind bounded queues
+//   start  -> spin up a cluster of verifier shards (each one SP behind a
+//             bounded queue and a worker thread) behind the
+//             consistent-hash router
 //   serve  -> a fleet of real clients enrolls and confirms transactions
-//             through the service (TPM quote checks, PAL sessions, RSA
+//             through the cluster (TPM quote checks, PAL sessions, RSA
 //             signature verification -- nothing is stubbed)
 //   drain  -> stop accepting, finish every queued request, join workers
-//   dump   -> print the metrics registry the service accumulated
+//   dump   -> print the metrics registries the shards accumulated
 //
 // Build & run:  ./build/examples/verifier_daemon
 //
@@ -21,41 +23,38 @@
 //                   ECDSA/SHA-256 quotes side by side (the dump shows the
 //                   per-backend accept counters)
 // Serving runtime:
+//   --shards=N      cluster of N shared-nothing shards (default 2)
 //   --max-batch=N   cap on how many queued requests a worker drains per
 //                   wakeup (default 16; 1 disables batching). At exit
 //                   the daemon summarizes the svc.batch_size histogram:
 //                   how much amortization the offered load actually
 //                   produced, not just what the cap permitted
-//   --shards=N      N > 0 runs a cluster::VerifierCluster of N shared-
-//                   nothing shards behind the consistent-hash router
-//                   instead of one multi-worker service (0, the default,
-//                   keeps the single-service path)
-//   --rebalance-at=R  with --shards: after serving round R a new shard
-//                   joins live -- sessions and exactly-once state for the
-//                   moved key range are handed off mid-run, and the
-//                   remaining rounds must still confirm every payment
-// Durability (single-service mode):
-//   --journal-dir=D write-ahead journal + snapshot under directory D
-//                   (one fdatasync per drained batch, before any of its
-//                   replies is released; forces one worker, since a
-//                   DurableLog serializes one shard).
-//                   Startup replays whatever the directory holds and
-//                   prints the recovery counters, so running the daemon
-//                   twice with the same D demonstrates restart across
-//                   real process exits
-//   --crash-at=N    with --journal-dir: die at cumulative journal byte
-//                   offset N -- the append crossing N persists only a
-//                   torn prefix, the worker flips the service to
-//                   kShutdown, and the daemon restarts the shard from
-//                   the journal mid-run, printing what recovery replayed
+//   --rebalance-at=R  after serving round R a new shard joins live --
+//                   sessions and exactly-once state for the moved key
+//                   range are handed off mid-run, and the remaining
+//                   rounds must still confirm every payment
+// Durability:
+//   --journal-dir=D write-ahead journal + snapshot per shard, shard k
+//                   under D/shard<k> (one fdatasync per drained batch,
+//                   before any of its replies is released). Startup
+//                   replays whatever the directories hold and prints the
+//                   recovery counters, so running the daemon twice with
+//                   the same D demonstrates restart across real process
+//                   exits
+//   --crash-at=N    with --journal-dir: shard 0 dies at cumulative
+//                   journal byte offset N -- the append crossing N
+//                   persists only a torn prefix, the shard flips to
+//                   kShutdown, and the daemon restarts it from its
+//                   journal mid-run, printing what recovery replayed
 // With faults on, clients retransmit with backoff and the SP's
-// idempotent replay layer absorbs the duplicates -- the run should still
-// end with every transaction confirmed.
+// idempotent replay layer absorbs the duplicates. The daemon exits 0 only
+// when every transaction was confirmed.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -65,47 +64,50 @@
 #include "cluster/verifier_cluster.h"
 #include "pal/human_agent.h"
 #include "sp/fleet.h"
-#include "store/durable_log.h"
 #include "store/file_backend.h"
-#include "svc/verifier_service.h"
 
 using namespace tp;
 
 namespace {
 
-/// Crash-injection shim over any StorageBackend (FileBackend does not
-/// carry one itself): the append crossing the armed cumulative offset
-/// persists only the prefix up to it -- a genuinely torn record on disk
-/// -- and throws CrashInjected, as does everything after until the
-/// daemon clears the point and re-runs recovery.
+/// Crash-injection shim over a FileBackend (which does not carry one
+/// itself): the append crossing the armed cumulative offset persists
+/// only the prefix up to it -- a genuinely torn record on disk -- and
+/// throws CrashInjected, as does everything after until the cluster
+/// clears the point and restarts the shard.
 class CrashableBackend final : public store::StorageBackend {
  public:
-  explicit CrashableBackend(store::StorageBackend& inner) : inner_(inner) {}
+  explicit CrashableBackend(std::unique_ptr<store::StorageBackend> inner)
+      : inner_(std::move(inner)) {}
 
   void append_journal(BytesView record) override {
-    const std::uint64_t at = inner_.appended_total();
+    const std::uint64_t at = inner_->appended_total();
     if (crash_at_.has_value() && at + record.size() > *crash_at_) {
-      if (*crash_at_ > at) inner_.append_journal(record.first(*crash_at_ - at));
+      if (*crash_at_ > at) {
+        inner_->append_journal(record.first(*crash_at_ - at));
+      }
       throw store::CrashInjected(*crash_at_);
     }
-    inner_.append_journal(record);
+    inner_->append_journal(record);
   }
-  Bytes read_journal() const override { return inner_.read_journal(); }
-  void reset_journal() override { inner_.reset_journal(); }
-  void write_snapshot(BytesView blob) override { inner_.write_snapshot(blob); }
-  Bytes read_snapshot() const override { return inner_.read_snapshot(); }
+  Bytes read_journal() const override { return inner_->read_journal(); }
+  void reset_journal() override { inner_->reset_journal(); }
+  void write_snapshot(BytesView blob) override {
+    inner_->write_snapshot(blob);
+  }
+  Bytes read_snapshot() const override { return inner_->read_snapshot(); }
   std::uint64_t journal_bytes() const override {
-    return inner_.journal_bytes();
+    return inner_->journal_bytes();
   }
   std::uint64_t appended_total() const override {
-    return inner_.appended_total();
+    return inner_->appended_total();
   }
   bool supports_crash_injection() const override { return true; }
   void crash_at_bytes(std::uint64_t offset) override { crash_at_ = offset; }
   void clear_crash_point() override { crash_at_.reset(); }
 
  private:
-  store::StorageBackend& inner_;
+  std::unique_ptr<store::StorageBackend> inner_;
   std::optional<std::uint64_t> crash_at_;
 };
 
@@ -116,7 +118,7 @@ int main(int argc, char** argv) {
   std::uint64_t fault_seed = 0x6461656d6f6eull;  // "daemon"
   std::string backend = "tpm12";
   std::size_t max_batch = 16;
-  std::size_t shards = 0;
+  std::size_t shards = 2;
   std::size_t rebalance_at = SIZE_MAX;
   std::string journal_dir;
   std::uint64_t crash_at = 0;
@@ -134,6 +136,10 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--shards=", 0) == 0) {
       shards = std::strtoull(arg.c_str() + 9, nullptr, 10);
+      if (shards == 0) {
+        std::fprintf(stderr, "--shards must be >= 1\n");
+        return 2;
+      }
     } else if (arg.rfind("--rebalance-at=", 0) == 0) {
       rebalance_at = std::strtoull(arg.c_str() + 15, nullptr, 10);
     } else if (arg.rfind("--journal-dir=", 0) == 0) {
@@ -160,18 +166,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (rebalance_at != SIZE_MAX && shards == 0) {
-    std::fprintf(stderr, "--rebalance-at requires --shards\n");
-    return 2;
-  }
   if (crash_at != 0 && journal_dir.empty()) {
     std::fprintf(stderr, "--crash-at requires --journal-dir\n");
-    return 2;
-  }
-  if (!journal_dir.empty() && shards > 0) {
-    std::fprintf(stderr,
-                 "--journal-dir applies to the single-service mode; the "
-                 "cluster manages per-shard logs itself\n");
     return 2;
   }
   if (drop_pct < 0.0 || drop_pct > 100.0) {
@@ -204,106 +200,68 @@ int main(int argc, char** argv) {
   }
   sp::Fleet fleet(fleet_config);
 
-  // 2. Start the daemon: either one service with two worker shards
-  //    (default) or, with --shards=N, a verifier cluster of N complete
-  //    shared-nothing shards behind the consistent-hash router. Either
-  //    way the fleet's members are rerouted from the built-in
-  //    single-threaded SP to the serving runtime.
-  std::unique_ptr<svc::VerifierService> service;
-  std::unique_ptr<cluster::VerifierCluster> vcluster;
-  std::unique_ptr<store::FileBackend> file_backend;
-  std::unique_ptr<CrashableBackend> crash_backend;
-  std::unique_ptr<store::DurableLog> durable_log;
-  // (Re)builds the single service; with a journal this replays whatever
-  // the directory holds (the crash-restart path calls it again mid-run).
-  std::function<void()> start_service;
-  svc::SvcConfig config;
-  config.num_workers = 2;
-  config.queue_depth = 64;
-  config.max_batch = max_batch;
-  config.default_deadline = std::chrono::milliseconds(2000);
-  config.sp = fleet.sp_config();
-  if (shards > 0) {
-    cluster::ClusterConfig cc;
-    cc.num_shards = shards;
-    cc.svc = config;
-    vcluster = std::make_unique<cluster::VerifierCluster>(std::move(cc));
-    vcluster->start();
-    fleet.route_frames_to(
-        [&vcluster](const std::string& id, BytesView frame) {
-          return vcluster->call(id, frame).frame;
-        });
-    std::printf(
-        "daemon up: cluster of %zu shard(s), queue depth %zu, "
-        "max batch %zu\n",
-        vcluster->num_shards(), config.queue_depth, max_batch);
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-      std::printf("  %-18s (%s) -> cluster shard %u\n",
-                  fleet.client_id(i).c_str(),
-                  tpm::quote_format_name(fleet.backend(i)),
-                  vcluster->shard_for(fleet.client_id(i)));
-    }
-  } else {
-    if (!journal_dir.empty()) {
-      config.num_workers = 1;  // a DurableLog serializes one shard
-      file_backend = std::make_unique<store::FileBackend>(journal_dir);
-      crash_backend = std::make_unique<CrashableBackend>(*file_backend);
-      if (crash_at != 0) crash_backend->crash_at_bytes(crash_at);
-    }
-    start_service = [&] {
-      if (crash_backend != nullptr) {
-        store::DurableLogConfig log_config;
-        log_config.backend = crash_backend.get();
-        durable_log = std::make_unique<store::DurableLog>(log_config);
-        config.sp.durable = durable_log.get();
-      }
-      service = std::make_unique<svc::VerifierService>(config);
-      service->start();
-      if (durable_log != nullptr) {
-        const store::RecoveryStats& rs = durable_log->recovery_stats();
-        std::printf(
-            "journal %s: replayed %llu record(s), snapshot %llu bytes, "
-            "torn tail %llu byte(s)%s%s\n",
-            journal_dir.c_str(),
-            static_cast<unsigned long long>(rs.replayed_records),
-            static_cast<unsigned long long>(rs.snapshot_bytes),
-            static_cast<unsigned long long>(rs.truncated_tail_bytes),
-            rs.had_corruption ? ", corruption: " : "",
-            rs.had_corruption ? rs.corruption.c_str() : "");
-      }
-      fleet.route_frames_to(
-          [&service](const std::string& id, BytesView frame) {
-            return service->call(id, frame).frame;
-          });
+  // 2. Start the daemon: a verifier cluster of N shared-nothing shards
+  //    behind the consistent-hash router. The fleet's members are
+  //    rerouted from the built-in single-threaded SP to the cluster.
+  constexpr std::size_t kQueueDepth = 64;
+  cluster::ClusterConfig cc;
+  cc.num_shards = shards;
+  cc.svc.queue_depth = kQueueDepth;
+  cc.svc.max_batch = max_batch;
+  cc.svc.default_deadline = std::chrono::milliseconds(2000);
+  cc.svc.sp = fleet.sp_config();
+  if (!journal_dir.empty()) {
+    std::filesystem::create_directories(journal_dir);
+    cc.durable_backend_factory = [&journal_dir](std::uint32_t id)
+        -> std::unique_ptr<store::StorageBackend> {
+      return std::make_unique<CrashableBackend>(
+          std::make_unique<store::FileBackend>(journal_dir + "/shard" +
+                                               std::to_string(id)));
     };
-    start_service();
-    std::printf("daemon up: %zu shard(s), queue depth %zu, max batch %zu\n",
-                service->num_shards(), config.queue_depth, max_batch);
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-      std::printf("  %-18s (%s) -> shard %zu\n", fleet.client_id(i).c_str(),
-                  tpm::quote_format_name(fleet.backend(i)),
-                  service->shard_for(fleet.client_id(i)));
-    }
+  }
+  cluster::VerifierCluster vcluster(std::move(cc));
+  // What recovery replayed into each shard (every counter is 0 on a fresh
+  // directory; a second run over the same directory shows the restart).
+  const auto print_recovery = [&](std::uint32_t id) {
+    obs::Registry& registry = vcluster.shard_service(id).metrics();
+    std::printf(
+        "journal %s/shard%u: replayed %llu record(s), torn tail %llu "
+        "byte(s)\n",
+        journal_dir.c_str(), id,
+        static_cast<unsigned long long>(
+            registry.counter("sp.recovery.replayed_records").value()),
+        static_cast<unsigned long long>(
+            registry.counter("sp.recovery.truncated_tail").value()));
+  };
+  if (!journal_dir.empty()) {
+    for (const std::uint32_t id : vcluster.shard_ids()) print_recovery(id);
+  }
+  if (crash_at != 0) vcluster.kill_shard(0, crash_at);
+  vcluster.start();
+  fleet.route_frames_to([&vcluster](const std::string& id, BytesView frame) {
+    return vcluster.call(id, frame).frame;
+  });
+  std::printf(
+      "daemon up: cluster of %zu shard(s), queue depth %zu, max batch %zu\n",
+      vcluster.num_shards(), kQueueDepth, max_batch);
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    std::printf("  %-18s (%s) -> cluster shard %u\n",
+                fleet.client_id(i).c_str(),
+                tpm::quote_format_name(fleet.backend(i)),
+                vcluster.shard_for(fleet.client_id(i)));
   }
 
-  // Every registry the runtime writes: the single service's, or each
-  // cluster member's private one (per-shard stats must not alias).
+  // Every registry the runtime writes: each shard's own (per-shard stats
+  // must not alias).
   const auto each_registry =
       [&](const std::function<void(obs::Registry&)>& fn) {
-        if (vcluster != nullptr) {
-          for (const std::uint32_t sid : vcluster->shard_ids()) {
-            fn(vcluster->shard_service(sid).metrics());
-          }
-        } else {
-          fn(service->metrics());
+        for (const std::uint32_t sid : vcluster.shard_ids()) {
+          fn(vcluster.shard_service(sid).metrics());
         }
       };
-  const auto protocol_stats = [&] {
-    return vcluster != nullptr ? vcluster->stats() : service->stats();
-  };
 
   // 3. Serve: enroll everyone, then each client confirms a few payments
-  //    over the trusted path. Every frame flows through the service.
+  //    over the trusted path. Every frame flows through the cluster.
   std::vector<std::unique_ptr<pal::HumanAgent>> users;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     auto agent = std::make_unique<pal::HumanAgent>(
@@ -313,12 +271,12 @@ int main(int argc, char** argv) {
     users.push_back(std::move(agent));
   }
   const std::size_t enrolled = fleet.enroll_all();
-  std::printf("enrolled %zu/%zu clients through the service\n", enrolled,
+  std::printf("enrolled %zu/%zu clients through the cluster\n", enrolled,
               fleet.size());
   if (enrolled != fleet.size()) {
-    if (service != nullptr && service->crashed()) {
+    if (crash_at != 0 && vcluster.shard_crashed(0)) {
       std::fprintf(stderr,
-                   "shard crashed during enrollment (--crash-at=%llu fired "
+                   "shard 0 crashed during enrollment (--crash-at=%llu fired "
                    "too early); pick an offset past the enrollment records\n",
                    static_cast<unsigned long long>(crash_at));
     }
@@ -333,13 +291,12 @@ int main(int argc, char** argv) {
     std::int64_t open_sessions = 0;
     each_registry([&open_sessions](obs::Registry& registry) {
       for (const auto& g : registry.gauges()) {
-        if (g.name.find(".enroll_sessions") != std::string::npos ||
-            g.name.find(".tx_sessions") != std::string::npos) {
+        if (g.name == "sp.enroll_sessions" || g.name == "sp.tx_sessions") {
           open_sessions += g.value;
         }
       }
     });
-    const sp::SpStats snap = protocol_stats();
+    const sp::SpStats snap = vcluster.stats();
     std::printf(
         "  [round %zu] session tables: open=%lld evicted=%llu expired=%llu\n",
         round, static_cast<long long>(open_sessions),
@@ -355,38 +312,37 @@ int main(int argc, char** argv) {
           bytes_of("order " + std::to_string(round * fleet.size() + i));
       auto outcome =
           fleet.client(i).submit_transaction("pay 25 EUR to carol", order);
-      if (service != nullptr && service->crashed()) {
-        // The armed journal offset fired mid-frame: the worker saw
-        // CrashInjected, the service flipped to kShutdown, and the disk
-        // holds a torn record. Restart the shard from the journal --
+      if (crash_at != 0 && vcluster.shard_crashed(0)) {
+        // The armed journal offset fired mid-frame: shard 0's worker saw
+        // CrashInjected, the shard flipped to kShutdown, and the disk
+        // holds a torn record. Restart the shard from its journal --
         // everything acked before the crash replays -- and retry the
         // interrupted transaction against the successor.
         std::printf(
-            "  [round %zu] shard crashed at journal offset %llu -- "
-            "restarting from the journal\n",
+            "  [round %zu] shard 0 crashed at journal offset %llu -- "
+            "restarting it from its journal\n",
             round, static_cast<unsigned long long>(crash_at));
-        service->drain();
-        crash_backend->clear_crash_point();
-        start_service();
+        vcluster.restart_shard(0);
         ++shard_restarts;
+        print_recovery(0);
         outcome =
             fleet.client(i).submit_transaction("pay 25 EUR to carol", order);
       }
       if (outcome.ok() && outcome.value().accepted) ++confirmed;
     }
     dump_session_metrics(round);
-    if (vcluster != nullptr && round == rebalance_at) {
+    if (round == rebalance_at) {
       // Live resize mid-run: a new shard joins, the moved key range's
       // sessions and exactly-once state follow it, and the remaining
       // rounds keep confirming through the new ring.
-      const std::uint32_t nid = vcluster->add_shard();
+      const std::uint32_t nid = vcluster.add_shard();
       std::printf(
           "  [round %zu] cluster shard %u joined live: "
           "remapped_keys=%llu handoff_sessions=%llu parked_frames=%llu\n",
           round, nid,
-          static_cast<unsigned long long>(vcluster->remapped_keys()),
-          static_cast<unsigned long long>(vcluster->handoff_sessions()),
-          static_cast<unsigned long long>(vcluster->parked_frames()));
+          static_cast<unsigned long long>(vcluster.remapped_keys()),
+          static_cast<unsigned long long>(vcluster.handoff_sessions()),
+          static_cast<unsigned long long>(vcluster.parked_frames()));
     }
   }
   std::printf("served: %zu/%zu transactions confirmed\n", confirmed,
@@ -394,26 +350,21 @@ int main(int argc, char** argv) {
 
   // 4. Drain: graceful shutdown -- in-flight requests finish, workers
   //    join. Further submissions would get an immediate kShutdown.
-  if (vcluster != nullptr) {
-    vcluster->drain();
-    std::printf("drained: cluster of %zu shard(s) stopped\n",
-                vcluster->num_shards());
-  } else {
-    service->drain();
-    std::printf("drained: service %s\n",
-                service->running() ? "still running!?" : "stopped");
-  }
-  if (durable_log != nullptr) {
-    std::printf(
-        "journal: %llu byte(s) on disk, seq cursor at %llu, %zu crash "
-        "restart(s) this run\n",
-        static_cast<unsigned long long>(crash_backend->journal_bytes()),
-        static_cast<unsigned long long>(durable_log->next_seq() - 1),
-        shard_restarts);
+  vcluster.drain();
+  std::printf("drained: cluster of %zu shard(s) stopped\n",
+              vcluster.num_shards());
+  if (!journal_dir.empty()) {
+    for (const std::uint32_t id : vcluster.shard_ids()) {
+      std::printf("journal %s/shard%u: %llu byte(s) on disk\n",
+                  journal_dir.c_str(), id,
+                  static_cast<unsigned long long>(
+                      vcluster.shard_backend(id).journal_bytes()));
+    }
+    std::printf("%zu crash restart(s) this run\n", shard_restarts);
   }
 
   // 5. Metrics dump: what the daemon observed, per shard and overall.
-  const sp::SpStats totals = protocol_stats();
+  const sp::SpStats totals = vcluster.stats();
   std::printf("\nprotocol totals across shards:\n");
   std::printf("  enrolled=%llu tx_accepted=%llu tx_rejected=%llu\n",
               static_cast<unsigned long long>(totals.enrolled),
@@ -474,14 +425,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(replayed),
                 static_cast<unsigned long long>(fault_seed));
   }
-  if (vcluster != nullptr) {
-    // Cluster-level registry: router counters + per-shard gauges.
-    vcluster->publish_gauges();
-    std::printf("\ncluster metrics registry:\n%s\n",
-                vcluster->metrics().to_json().c_str());
-  } else {
-    std::printf("\nmetrics registry:\n%s\n",
-                service->metrics().to_json().c_str());
-  }
+  // Cluster-level registry: router counters + per-shard gauges.
+  vcluster.publish_gauges();
+  std::printf("\ncluster metrics registry:\n%s\n",
+              vcluster.metrics().to_json().c_str());
   return confirmed == submitted ? 0 : 1;
 }

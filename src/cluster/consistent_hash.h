@@ -1,9 +1,9 @@
 // Consistent-hash routing for the verifier cluster.
 //
-// The single-process ShardRouter (svc/shard_router.h) maps client -> shard
-// with `hash % N`: changing N remaps almost every client, which would turn
-// every cluster resize into a full-state migration. This router hashes
-// both shards and clients onto one 64-bit ring instead. Each shard owns
+// Mapping client -> shard with `hash % N` would remap almost every client
+// whenever N changes, turning every cluster resize into a full-state
+// migration. This router hashes both shards and clients onto one 64-bit
+// ring instead. Each shard owns
 // `virtual_nodes` points ("vnodes"); a client belongs to the first vnode
 // clockwise from its own point. Adding a shard therefore steals only the
 // arcs its new vnodes land on -- in expectation K/N of the keys for N
@@ -17,9 +17,9 @@
 // is identical across processes, platforms and restarts -- no std::hash,
 // whose distribution and stability are unspecified. Using the session-key
 // digest for clients also means the router can place *state* it only
-// knows by key: shard handoff bundles carry 16-byte session keys, not
-// client-id strings, and ownership of a key is decidable from the key
-// alone (shard_for_point(point_of_key(k))).
+// knows by key: a handoff selects sessions and dedup rows by their
+// 16-byte session keys, not client-id strings, and ownership of a key is
+// decidable from the key alone (shard_for_point(point_of_key(k))).
 #pragma once
 
 #include <cstddef>

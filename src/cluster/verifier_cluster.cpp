@@ -28,20 +28,13 @@ ClusterConfig validated(ClusterConfig config) {
 VerifierCluster::VerifierCluster(ClusterConfig config)
     : config_(validated(std::move(config))),
       epoch_(Clock::now()),
-      router_(config_.virtual_nodes) {
-  if (config_.metrics != nullptr) {
-    registry_ = config_.metrics;
-  } else {
-    owned_registry_ = std::make_unique<obs::Registry>();
-    registry_ = owned_registry_.get();
-  }
-  c_remapped_keys_ = &registry_->counter("cluster.remapped_keys");
-  c_handoff_sessions_ = &registry_->counter("cluster.handoff_sessions");
-  c_handoff_replay_keys_ =
-      &registry_->counter("cluster.handoff_replay_keys");
-  c_parked_frames_ = &registry_->counter("cluster.parked_frames");
-  c_rebalances_ = &registry_->counter("cluster.rebalances");
-  c_shard_restarts_ = &registry_->counter("cluster.shard_restarts");
+      router_(kVirtualNodes) {
+  c_remapped_keys_ = &registry_.counter("cluster.remapped_keys");
+  c_handoff_sessions_ = &registry_.counter("cluster.handoff_sessions");
+  c_handoff_replay_keys_ = &registry_.counter("cluster.handoff_replay_keys");
+  c_parked_frames_ = &registry_.counter("cluster.parked_frames");
+  c_rebalances_ = &registry_.counter("cluster.rebalances");
+  c_shard_restarts_ = &registry_.counter("cluster.shard_restarts");
 
   members_.reserve(config_.num_shards);
   for (std::size_t i = 0; i < config_.num_shards; ++i) {
@@ -79,14 +72,6 @@ std::unique_ptr<VerifierCluster::Member> VerifierCluster::make_member(
   auto member = std::make_unique<Member>();
   member->id = id;
   svc::SvcConfig svc_config = config_.svc;
-  // One SP per cluster shard: the shard is the unit of parallelism, and
-  // handoff stays exact because key ownership decides placement (an
-  // inner hash router would need client-id strings a bundle lacks).
-  svc_config.num_workers = 1;
-  // Member-private registry: per-shard stats must not alias across
-  // members (every service names its inner SP "sp.shard0").
-  svc_config.metrics = nullptr;
-  svc_config.sp.metrics = nullptr;
   // Shared timeline: a deadline exported by one shard means the same
   // instant on every other.
   svc_config.epoch = epoch_;
@@ -155,7 +140,7 @@ svc::VerifierService& VerifierCluster::shard_service(std::uint32_t shard_id) {
 
 sp::ServiceProvider& VerifierCluster::shard_sp(std::uint32_t shard_id) {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return member(shard_id).service->shard_sp(0);
+  return member(shard_id).service->sp();
 }
 
 std::future<svc::SvcResponse> VerifierCluster::submit(
@@ -165,7 +150,7 @@ std::future<svc::SvcResponse> VerifierCluster::submit(
       std::shared_lock<std::shared_mutex> lock(mu_, std::try_to_lock);
       if (lock.owns_lock()) {
         return member(router_.shard_for(client_id))
-            .service->submit(client_id, std::move(frame));
+            .service->submit(std::move(frame));
       }
     }
     // Router locked exclusively: a rebalance is (probably) in flight.
@@ -206,23 +191,23 @@ void VerifierCluster::migrate_to(const ConsistentHashRouter& next) {
   for (auto& src : members_) {
     for (auto& dst : members_) {
       if (src->id == dst->id || !next.has_shard(dst->id)) continue;
-      sp::HandoffBundle bundle =
-          src->service->shard_sp(0).extract_for_handoff(
-              [&](const proto::SessionTable::Key& key) {
-                return next.shard_for_point(
-                           ConsistentHashRouter::point_of_key(key)) ==
-                       dst->id;
-              });
+      store::ShardState moved = src->service->sp().extract_for_handoff(
+          [&](const proto::SessionTable::Key& key) {
+            return next.shard_for_point(
+                       ConsistentHashRouter::point_of_key(key)) == dst->id;
+          });
+      const std::size_t moved_sessions =
+          moved.enroll_sessions.size() + moved.tx_sessions.size();
       // Nothing of this source's moved to this destination: skip the
       // import (it would only copy the replay-digest superset around).
-      if (bundle.enrolled.empty() && bundle.session_count() == 0 &&
-          bundle.dedup.empty()) {
+      if (moved.enrolled.empty() && moved_sessions == 0 &&
+          moved.dedup.empty()) {
         continue;
       }
-      remapped += bundle.enrolled.size();
-      sessions += bundle.session_count();
-      replay += bundle.replay_digests.size();
-      dst->service->shard_sp(0).import_handoff(std::move(bundle));
+      remapped += moved.enrolled.size();
+      sessions += moved_sessions;
+      replay += moved.replay_digests.size();
+      dst->service->sp().import_state(std::move(moved));
     }
   }
   c_remapped_keys_->inc(remapped);
@@ -234,7 +219,7 @@ void VerifierCluster::migrate_to(const ConsistentHashRouter& next) {
     // everything is still drained, snapshot each member so no shard's
     // stale journal can resurrect sessions its SP just handed off (or
     // miss the ones it just imported).
-    for (auto& m : members_) m->service->shard_sp(0).checkpoint();
+    for (auto& m : members_) m->service->sp().checkpoint();
   }
 }
 
@@ -398,7 +383,7 @@ void VerifierCluster::replay_parked(std::vector<ParkedFrame> parked) {
   for (ParkedFrame& p : parked) {
     std::shared_lock<std::shared_mutex> lock(mu_);
     member(router_.shard_for(p.client_id))
-        .service->submit_with_promise(p.client_id, std::move(p.frame),
+        .service->submit_with_promise(std::move(p.frame),
                                       std::move(p.promise));
   }
 }
@@ -417,17 +402,17 @@ void VerifierCluster::publish_gauges() {
 
 void VerifierCluster::publish_gauges_locked() {
   for (const auto& m : members_) {
-    sp::ServiceProvider& sp = m->service->shard_sp(0);
+    sp::ServiceProvider& sp = m->service->sp();
     const std::string prefix = "cluster.shard." + std::to_string(m->id);
-    registry_->gauge(prefix + ".accepts")
+    registry_.gauge(prefix + ".accepts")
         .set(static_cast<std::int64_t>(m->service->stats().tx_accepted));
-    registry_->gauge(prefix + ".sessions")
+    registry_.gauge(prefix + ".sessions")
         .set(static_cast<std::int64_t>(sp.session_table_occupancy()));
-    registry_->gauge(prefix + ".enrolled")
+    registry_.gauge(prefix + ".enrolled")
         .set(static_cast<std::int64_t>(sp.enrolled_count()));
-    registry_->gauge(prefix + ".queue_depth")
+    registry_.gauge(prefix + ".queue_depth")
         .set(static_cast<std::int64_t>(m->service->queued()));
-    registry_->gauge(prefix + ".memory_bytes")
+    registry_.gauge(prefix + ".memory_bytes")
         .set(static_cast<std::int64_t>(sp.memory_bytes()));
   }
 }

@@ -1,15 +1,15 @@
 // Shared-nothing verifier cluster with consistent-hash routing and live
-// shard handoff.
+// shard handoff: the verifier's only sharding layer.
 //
-// One VerifierService scales the SP across worker threads inside a
-// process; this layer scales across *shards that can join and leave*,
-// which is what a deployment actually resizes. Each cluster shard is a
-// complete vertical slice -- its own svc::VerifierService wrapping its
-// own sp::ServiceProvider, bounded SessionTable / ReplayCache /
-// SubmitDedup, and metrics -- so shards share no protocol state at all
-// and the single-threaded SP correctness argument carries over verbatim.
-// A ConsistentHashRouter gives every client a stable home shard and
-// bounds resize churn to ~K/N keys (see consistent_hash.h).
+// The cluster scales across *shards that can join and leave*, which is
+// what a deployment actually resizes. Each cluster shard is a complete
+// vertical slice -- its own svc::VerifierService (one worker thread)
+// wrapping its own sp::ServiceProvider, bounded SessionTable /
+// ReplayCache / SubmitDedup, and metrics registry -- so shards share no
+// protocol state at all and the single-threaded SP correctness argument
+// carries over verbatim. A ConsistentHashRouter gives every client a
+// stable home shard and bounds resize churn to ~K/N keys (see
+// consistent_hash.h).
 //
 // Rebalance is stop-the-world and state-preserving. add_shard():
 //
@@ -20,10 +20,11 @@
 //      processed exactly once, against pre-move state).
 //   3. For every (source, destination) pair whose ownership changes
 //      under the next ring, extract_for_handoff() pulls the moving
-//      clients' sessions, verify contexts, dedup entries and the
-//      source's replay digests; import_handoff() replays them into the
-//      destination with deadlines, cached responses and exactly-once
-//      guards intact.
+//      clients' sessions, attestation keys, dedup rows and the source's
+//      replay digests into a store::ShardState; import_state() replays
+//      it into the destination with deadlines, cached responses and
+//      exactly-once guards intact, rebuilding each moved client's verify
+//      context from its key.
 //   4. Swap the ring, restart every service, then re-route the parked
 //      frames through the new ring (their futures resolve exactly once).
 //
@@ -42,9 +43,10 @@
 // rebuilds the member from snapshot + journal -- acked state survives,
 // retransmits replay byte-identical cached responses, and exactly-once
 // holds across process deaths, not just rebalances. Handoff and
-// recovery share one serialization (store::ShardState), so migrate_to
-// checkpoints durable members after every move: a shard's snapshot can
-// never resurrect sessions that were handed off to another owner.
+// recovery share one state type (store::ShardState) and one import, and
+// migrate_to checkpoints durable members after every move: a shard's
+// snapshot can never resurrect sessions that were handed off to another
+// owner.
 //
 // Thread-safety: submit()/call()/stats() are safe from any thread,
 // including concurrently with add_shard()/remove_shard(). Per-shard
@@ -76,21 +78,12 @@ struct ClusterConfig {
   /// Initial shard count (ids 0..num_shards-1). Must be >= 1; the
   /// constructor throws std::invalid_argument on 0.
   std::size_t num_shards = 4;
-  /// Ring points per shard (consistent_hash.h); 0 is clamped to 1.
-  std::size_t virtual_nodes = 64;
-  /// Template for every member service. Two fields are overridden per
-  /// member: num_workers is forced to 1 (a cluster shard IS the unit of
-  /// parallelism -- one SP per shard keeps handoff exact, since bundles
-  /// carry session keys, not the client-id strings an inner hash router
-  /// would need), and metrics is pointed at a member-private registry so
-  /// per-shard stats stay separable. The SP seed is mixed with the shard
-  /// id, and every member gets a disjoint sp.tx_id_base so transaction
-  /// ids are globally unique -- a moved confirmation session can never
-  /// collide with an id its new owner issued itself.
+  /// Template for every member service (each owns its metrics registry,
+  /// so per-shard stats stay separable). The SP seed is mixed with the
+  /// shard id, and every member gets a disjoint sp.tx_id_base so
+  /// transaction ids are globally unique -- a moved confirmation session
+  /// can never collide with an id its new owner issued itself.
   svc::SvcConfig svc;
-  /// Cluster-level registry (router counters + per-shard gauges);
-  /// nullptr -> the cluster owns a private one.
-  obs::Registry* metrics = nullptr;
   /// Durable mode: when set, every shard id gets its own StorageBackend
   /// from this factory (called once per id; the cluster owns the result
   /// and keeps it across member incarnations, so a restarted shard
@@ -108,6 +101,9 @@ struct ClusterConfig {
 
 class VerifierCluster {
  public:
+  /// Ring points per shard (consistent_hash.h).
+  static constexpr std::size_t kVirtualNodes = 64;
+
   /// Throws std::invalid_argument when config.num_shards == 0.
   explicit VerifierCluster(ClusterConfig config);
   ~VerifierCluster();
@@ -186,7 +182,7 @@ class VerifierCluster {
   void publish_gauges();
 
   /// Cluster-level registry (router counters + per-shard gauges).
-  obs::Registry& metrics() { return *registry_; }
+  obs::Registry& metrics() { return registry_; }
 
   /// Enrolled clients whose owner changed across all resizes.
   std::uint64_t remapped_keys() const { return c_remapped_keys_->value(); }
@@ -235,8 +231,7 @@ class VerifierCluster {
   /// Shared t=0 for every member's session timeline, so deadlines keep
   /// their meaning when sessions move between shards.
   std::chrono::steady_clock::time_point epoch_;
-  std::unique_ptr<obs::Registry> owned_registry_;
-  obs::Registry* registry_;
+  obs::Registry registry_;
 
   /// Guards router_ + members_: shared for routing/submitting, exclusive
   /// for resizes.

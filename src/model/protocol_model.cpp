@@ -124,7 +124,6 @@ Invariant sp_handle_enroll_complete(World& w, std::uint8_t frame,
   in.need_verify = screen.need_verify;
   in.verify_ok = evidence_ok;
   in.pre_reject = screen.reject;
-  in.idempotent = true;
   const proto::SpSettle settle =
       proto::sp_settle_complete(SessionPhase::kEnroll, in);
   if (!bugs.drop_settle_apply) {
@@ -191,7 +190,6 @@ Invariant sp_handle_tx_confirm(World& w, std::uint8_t frame,
   in.verify_ok = sig_ok;
   in.pre_reject = screen.reject;
   in.verify_reject = proto::RejectCode::kBadSignature;
-  in.idempotent = true;
   const proto::SpSettle settle =
       proto::sp_settle_complete(SessionPhase::kConfirm, in);
   if (!bugs.drop_settle_apply) {

@@ -60,7 +60,7 @@ class SessionTable {
   static constexpr std::size_t kKeyLen = 16;
   using Key = std::array<std::uint8_t, kKeyLen>;
 
-  /// Largest nonce stored inline (SpConfig::nonce_len is clamped to it).
+  /// Largest nonce stored inline (ServiceProvider::kNonceLen fits it).
   static constexpr std::size_t kMaxNonceLen = 32;
 
   /// Session key for enrollment sessions (keyed by client identity, so
@@ -176,7 +176,7 @@ class SessionTable {
   /// whole snapshot in ascending-deadline order preserves the
   /// LRU == deadline-order invariant; callers merging entries into a
   /// non-empty table (shard handoff) must merge-sort both sides by
-  /// deadline first (ServiceProvider::import_handoff does). Inserting
+  /// deadline first (ServiceProvider::import_state does). Inserting
   /// into a full table evicts the least-recently-begun session, like
   /// begin().
   void restore(const Key& key, const Session& session);

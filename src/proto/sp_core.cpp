@@ -12,7 +12,6 @@ const char* sp_action_name(SpActionKind kind) {
     case SpActionKind::kSealResponse: return "seal_response";
     case SpActionKind::kReplayResponse: return "replay_response";
     case SpActionKind::kApplyState: return "apply_state";
-    case SpActionKind::kEvictSession: return "evict_session";
     case SpActionKind::kRecordSignature: return "record_signature";
     case SpActionKind::kCountAccept: return "count_accept";
     case SpActionKind::kCountReject: return "count_reject";

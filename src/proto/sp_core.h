@@ -48,7 +48,6 @@ enum class SpActionKind : std::uint8_t {
   kSealResponse,     // cache the response against the request digest
   kReplayResponse,   // answer from the cached response (no counters)
   kApplyState,       // write next_state back to the session slot
-  kEvictSession,     // erase the slot (one-shot mode)
   kRecordSignature,  // insert the signature into the replay cache
   kCountAccept,      // bump the accept counter family
   kCountReject,      // bump the reject counter family (code attached)
@@ -229,14 +228,12 @@ struct SpSettleInput {
   bool verify_ok = false;
   RejectCode pre_reject = RejectCode::kNone;
   RejectCode verify_reject = RejectCode::kBadSignature;
-  bool idempotent = true;
 };
 
 struct SpSettle {
   SessionState next_state = SessionState::kIdle;
   bool accepted = false;
   bool record_signature = false;  // insert into the replay cache
-  bool erase_session = false;     // one-shot mode releases the slot
   RejectCode reject = RejectCode::kNone;
   SpActionList actions;
 };
@@ -254,14 +251,10 @@ constexpr SpSettle sp_settle_complete(SessionPhase phase,
                                : SessionEvent::kVerifyFail);
   out.next_state = settle.next;
   out.accepted = settle.action == SessionAction::kAccept;
+  // The terminal session stays in its slot until its original deadline:
+  // a re-sent kComplete is answered from the response cache, or refused
+  // by the terminal guard when its bytes differ.
   out.actions.push(SpActionKind::kApplyState);
-  if (!in.idempotent) {
-    // One-shot: replay of this challenge dies here. Idempotent mode
-    // holds the terminal session instead; a re-sent kComplete hits the
-    // terminal guard (or the response cache on the frame path).
-    out.erase_session = true;
-    out.actions.push(SpActionKind::kEvictSession);
-  }
   if (out.accepted) {
     out.record_signature = in.need_verify;
     if (in.need_verify) out.actions.push(SpActionKind::kRecordSignature);

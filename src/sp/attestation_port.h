@@ -45,13 +45,14 @@ class AttestationCryptoPort final : public proto::CryptoPort {
   /// Bytes the enrolled clients pin -- the term of the SP's footprint
   /// that grows with the population. Per client: its hash-map node (the
   /// id and context objects plus the node's link and cached hash), the
-  /// id's characters, and the context's heap (key copies and
+  /// id's characters, and the context's heap (its key copy and
   /// precompute). The bucket array, sized at construction, is not
   /// counted.
   std::size_t enrolled_memory_bytes() const;
-  /// The context map itself, for extract_for_handoff/import_handoff (a
-  /// rebalance moves contexts by node extraction so the precompute is
-  /// never redone).
+  /// The context map itself, for the SP's ShardState export and import:
+  /// export_state and extract_for_handoff serialize each client's key
+  /// (the handoff also erases the moved clients), and import_state
+  /// rebuilds a context, precompute included, from each key blob.
   std::unordered_map<std::string, tpm::AttestationVerifyContext>& contexts() {
     return contexts_;
   }

@@ -31,7 +31,6 @@ Deployment::Deployment(DeploymentConfig config)
   sp_config.enroll_session_capacity = config_.enroll_session_capacity;
   sp_config.tx_session_capacity = config_.tx_session_capacity;
   sp_config.session_ttl = config_.session_ttl;
-  sp_config.idempotent_replies = config_.idempotent_replies;
   sp_config.metrics = config_.metrics;
   // Session deadlines live on the same virtual clock the platform and
   // link charge their costs to.

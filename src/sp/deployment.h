@@ -42,8 +42,6 @@ struct DeploymentConfig {
 
   /// Client-side retransmission policy (default: one attempt, no retry).
   core::RetryPolicy client_retry;
-  /// Forwarded to SpConfig::idempotent_replies.
-  bool idempotent_replies = true;
   /// Transient-fault model for the client machine's TPM.
   tpm::TpmFaultProfile tpm_faults;
   /// Shared registry for the SP's and client's counters (nullptr -> the

@@ -19,7 +19,6 @@ Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
       core::attestation_policy(drtm::DrtmTechnology::kIntelTxt, {},
                                tpm::QuoteFormat::kTpm2),
   };
-  sp_config_.idempotent_replies = config_.idempotent_replies;
   sp_ = std::make_unique<ServiceProvider>(sp_config_);
 
   for (std::size_t i = 0; i < config_.num_clients; ++i) {

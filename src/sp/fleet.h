@@ -42,8 +42,6 @@ struct FleetConfig {
   /// Client-side retransmission policy for every member (default: one
   /// attempt, no retry).
   core::RetryPolicy client_retry;
-  /// Forwarded to SpConfig::idempotent_replies.
-  bool idempotent_replies = true;
   /// Transient-fault model for every member's TPM.
   tpm::TpmFaultProfile tpm_faults;
 };
@@ -77,13 +75,13 @@ class Fleet {
 
   /// The SP configuration this fleet was built against (same CA root,
   /// golden measurement and policies). Lets an external serving runtime
-  /// (svc::VerifierService) spin up compatible verifier shards.
+  /// (cluster::VerifierCluster) spin up compatible verifier shards.
   const SpConfig& sp_config() const { return sp_config_; }
 
   /// Redirects every member's server-side endpoint to `handler`
   /// (client id, request frame) -> response frame, replacing the built-in
   /// single ServiceProvider. Used to put the whole fleet behind a
-  /// svc::VerifierService.
+  /// cluster::VerifierCluster.
   using FrameHandler = std::function<Bytes(const std::string&, BytesView)>;
   void route_frames_to(FrameHandler handler);
 

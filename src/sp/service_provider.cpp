@@ -17,6 +17,8 @@ using namespace core;  // message types
 namespace {
 constexpr proto::SessionPhase kEnrollPhase = proto::SessionPhase::kEnroll;
 constexpr proto::SessionPhase kConfirmPhase = proto::SessionPhase::kConfirm;
+/// Every SP instrument is named "sp.<name>".
+constexpr const char* kMetricsPrefix = "sp";
 
 std::size_t dedup_size_for(std::size_t tx_capacity) {
   // Power of two >= 2x the tx-session capacity: every live session can
@@ -48,10 +50,17 @@ void cache_response(proto::SessionTable::Session* session,
   session->set_response(response);
 }
 
-// Merges handed-off sessions into `table`. restore() appends at the LRU
+void sort_by_id(std::vector<store::EnrolledClient>& clients) {
+  std::sort(clients.begin(), clients.end(),
+            [](const store::EnrolledClient& a, const store::EnrolledClient& b) {
+              return a.id < b.id;
+            });
+}
+
+// Merges imported sessions into `table`. restore() appends at the LRU
 // back, so entries must land in ascending-deadline order to keep the
 // LRU == deadline invariant; both the table's own snapshot and the
-// incoming bundle are individually sorted, and the combined set is
+// incoming state are individually sorted, and the combined set is
 // re-sorted when the table was non-empty.
 void merge_restore(proto::SessionTable& table,
                    std::vector<proto::SessionTable::Entry>&& incoming) {
@@ -80,14 +89,8 @@ ServiceProvider::ServiceProvider(SpConfig config)
       crypto_(config_.ca_public, config_.golden_pcr17,
               config_.accepted_policies, config_.expected_clients),
       seen_signatures_(config_.replay_cache_capacity),
-      submit_dedup_(config_.idempotent_replies
-                        ? dedup_size_for(config_.tx_session_capacity)
-                        : 0),
-      submit_dedup_mask_(submit_dedup_.empty() ? 0
-                                               : submit_dedup_.size() - 1) {
-  // Nonces live inline in the fixed-size session slots.
-  config_.nonce_len =
-      std::min(config_.nonce_len, proto::SessionTable::kMaxNonceLen);
+      submit_dedup_(dedup_size_for(config_.tx_session_capacity)),
+      submit_dedup_mask_(submit_dedup_.size() - 1) {
   next_tx_id_ = config_.tx_id_base + 1;
   if (config_.metrics != nullptr) {
     registry_ = config_.metrics;
@@ -95,7 +98,7 @@ ServiceProvider::ServiceProvider(SpConfig config)
     owned_registry_ = std::make_unique<obs::Registry>();
     registry_ = owned_registry_.get();
   }
-  const std::string& p = config_.metrics_prefix;
+  const std::string p = kMetricsPrefix;
   c_enrolled_ = &registry_->counter(p + ".enrolled");
   c_enroll_rejected_ = &registry_->counter(p + ".enroll_rejected");
   c_tx_accepted_ = &registry_->counter(p + ".tx_accepted");
@@ -123,11 +126,6 @@ ServiceProvider::ServiceProvider(SpConfig config)
   h_tx_ = &registry_->histogram(p + ".tx_ns");
 
   if (config_.durable != nullptr) {
-    if (!config_.idempotent_replies) {
-      throw std::invalid_argument(
-          "ServiceProvider: durable mode requires idempotent_replies "
-          "(recovery replays cached responses)");
-    }
     c_recovery_replayed_ =
         &registry_->counter(p + ".recovery.replayed_records");
     c_recovery_truncated_ =
@@ -144,7 +142,14 @@ ServiceProvider::ServiceProvider(SpConfig config)
     c_recovery_truncated_->inc(rs.truncated_tail_bytes);
     g_recovery_snapshot_age_->set(rs.snapshot_age_ns);
     store::ShardState state = recovered.take();
-    if (!state.empty()) restore_state(std::move(state));
+    // Cumulative counters: the journal carries the shard's accept total,
+    // and the enrolled count is the recovered population. They are bumped
+    // here, not in import_state, because a handoff moves clients without
+    // enrolling them again. Per-format and per-reject slices are
+    // observability-only and restart at zero (documented in DESIGN.md).
+    c_tx_accepted_->inc(state.tx_accepted_total);
+    c_enrolled_->inc(state.enrolled.size());
+    import_state(std::move(state));
     // Deterministic per (seed, recovery point) but disjoint from the
     // pre-crash stream: the journal does not capture DRBG positions, so
     // without this a restarted shard would re-issue nonces whose
@@ -156,11 +161,9 @@ ServiceProvider::ServiceProvider(SpConfig config)
   }
 }
 
-Bytes ServiceProvider::fresh_nonce() {
-  return drbg_.generate(config_.nonce_len);
-}
+Bytes ServiceProvider::fresh_nonce() { return drbg_.generate(kNonceLen); }
 
-SpStats ServiceProvider::stats_snapshot() const {
+SpStats ServiceProvider::stats() const {
   SpStats snap;
   snap.enrolled = c_enrolled_->value();
   snap.enroll_rejected = c_enroll_rejected_->value();
@@ -179,7 +182,7 @@ SpStats ServiceProvider::stats_snapshot() const {
 }
 
 void ServiceProvider::reset_stats() {
-  registry_->reset(config_.metrics_prefix + ".");
+  registry_->reset(std::string(kMetricsPrefix) + ".");
   // The tables' own totals keep running; future publishes must add only
   // what happens after this reset.
   published_evictions_ = session_evictions();
@@ -271,18 +274,15 @@ EnrollResult ServiceProvider::complete_enrollment(const EnrollComplete& msg) {
         session->nonce_view()});
   }
 
-  // Stage C: settle. Terminal either way; one-shot mode releases the
-  // slot, idempotent mode holds it (terminal state + cached response)
-  // until its original deadline so retransmitted completes replay the
-  // same answer.
+  // Stage C: settle. Terminal either way; the slot holds the terminal
+  // state (and, once process_frame caches it, the response) until its
+  // original deadline so retransmitted completes replay the same answer.
   const proto::SpSettle settle = proto::sp_settle_complete(
       kEnrollPhase,
       proto::SpSettleInput{session->state, screen.need_verify,
                            evidence == proto::RejectCode::kNone,
-                           screen.reject, /*verify_reject=*/evidence,
-                           config_.idempotent_replies});
+                           screen.reject, /*verify_reject=*/evidence});
   session->state = settle.next_state;
-  if (settle.erase_session) enroll_sessions_.erase(key);
   publish_session_metrics();
   if (settle.accepted) {
     c_enrolled_->inc();
@@ -366,18 +366,15 @@ TxResult ServiceProvider::complete_transaction(const TxConfirm& msg) {
         msg.signature);
   }
 
-  // Stage D: settle. Terminal either way; one-shot mode releases the
-  // slot (replay of this challenge dies here), idempotent mode holds the
-  // terminal session so a re-sent kComplete hits the guard above (or the
-  // response cache on the frame path), with the signature replay cache
-  // still backstopping a re-verify.
+  // Stage D: settle. Terminal either way; the slot holds the terminal
+  // session so a re-sent kComplete hits the response cache or the guard
+  // above, with the signature replay cache still backstopping a
+  // re-verify.
   const proto::SpSettle settle = proto::sp_settle_complete(
       kConfirmPhase,
       proto::SpSettleInput{session->state, screen.need_verify, verify_ok,
-                           screen.reject, proto::RejectCode::kBadSignature,
-                           config_.idempotent_replies});
+                           screen.reject, proto::RejectCode::kBadSignature});
   session->state = settle.next_state;
-  if (settle.erase_session) tx_sessions_.erase(key);
   publish_session_metrics();
   if (!settle.accepted) return reject_tx(msg.tx_id, settle.reject);
   if (settle.record_signature) seen_signatures_.insert(msg.signature);
@@ -394,17 +391,17 @@ TxResult ServiceProvider::complete_transaction(const TxConfirm& msg) {
                       : "accepted without verification"};
 }
 
-HandoffBundle ServiceProvider::extract_for_handoff(
+store::ShardState ServiceProvider::extract_for_handoff(
     const std::function<bool(const proto::SessionTable::Key&)>& moves) {
-  HandoffBundle bundle;
-  bundle.source_now = session_now();
+  store::ShardState state;
+  state.source_now_ns = session_now().ns;
 
   // Enrollment sessions are keyed by client_key(client_id), exactly what
   // `moves` decides on. snapshot() yields ascending-deadline order, which
   // the importer's restore path wants preserved.
   for (const auto& e : enroll_sessions_.snapshot()) {
     if (!moves(e.key)) continue;
-    bundle.enroll_sessions.push_back(e);
+    state.enroll_sessions.push_back(e);
     enroll_sessions_.erase(e.key);
   }
   // Confirmation sessions are keyed by tx id; ownership follows the
@@ -412,54 +409,34 @@ HandoffBundle ServiceProvider::extract_for_handoff(
   // because every shard issues from a disjoint tx_id_base.
   for (const auto& e : tx_sessions_.snapshot()) {
     if (!moves(e.session.client)) continue;
-    bundle.tx_sessions.push_back(e);
+    state.tx_sessions.push_back(e);
     tx_sessions_.erase(e.key);
   }
-  // Verify contexts move by node extraction: the per-key precompute
-  // (Montgomery / window tables) built at enrollment is never redone.
+  // Moved clients leave as key blobs; the importer rebuilds their verify
+  // contexts (see import_state).
   auto& enrolled = crypto_.contexts();
-  std::vector<std::string> moving_ids;
-  for (const auto& [id, ctx] : enrolled) {
-    (void)ctx;
-    if (moves(proto::SessionTable::client_key(id))) moving_ids.push_back(id);
+  for (auto it = enrolled.begin(); it != enrolled.end();) {
+    if (!moves(proto::SessionTable::client_key(it->first))) {
+      ++it;
+      continue;
+    }
+    state.enrolled.push_back(
+        store::EnrolledClient{it->first, it->second.key().serialize()});
+    it = enrolled.erase(it);
   }
-  bundle.enrolled.reserve(moving_ids.size());
-  for (const std::string& id : moving_ids) {
-    auto node = enrolled.extract(id);
-    bundle.enrolled.emplace_back(std::move(node.key()),
-                                 std::move(node.mapped()));
-  }
+  sort_by_id(state.enrolled);
   // Replay digests are unattributable, so the whole set is copied (not
   // removed); the destination merging a superset only widens its screen.
-  bundle.replay_digests = seen_signatures_.export_digests();
-  // TxSubmit dedup entries carry the same client tag.
+  state.replay_digests = seen_signatures_.export_digests();
+  // TxSubmit dedup rows carry the same client tag.
   for (SubmitDedup& slot : submit_dedup_) {
     if (slot.used == 0 || !moves(slot.client)) continue;
-    bundle.dedup.push_back(
-        HandoffBundle::DedupEntry{slot.client, slot.digest, slot.tx_id});
+    state.dedup.push_back(store::DedupRow{slot.client, slot.digest,
+                                          slot.tx_id});
     slot = SubmitDedup{};
   }
   publish_session_metrics();
-  return bundle;
-}
-
-void ServiceProvider::import_handoff(HandoffBundle&& bundle) {
-  advance_time_to(bundle.source_now);
-  merge_restore(enroll_sessions_, std::move(bundle.enroll_sessions));
-  merge_restore(tx_sessions_, std::move(bundle.tx_sessions));
-  for (auto& [id, ctx] : bundle.enrolled) {
-    crypto_.contexts().insert_or_assign(std::move(id), std::move(ctx));
-  }
-  for (const ReplayCache::Digest& d : bundle.replay_digests) {
-    seen_signatures_.insert_digest(d);
-  }
-  if (!submit_dedup_.empty()) {
-    for (const HandoffBundle::DedupEntry& e : bundle.dedup) {
-      submit_dedup_[submit_dedup_index(e.client, e.digest)] =
-          SubmitDedup{e.client, e.digest, e.tx_id, 1};
-    }
-  }
-  publish_session_metrics();
+  return state;
 }
 
 store::ShardState ServiceProvider::export_state() const {
@@ -469,18 +446,15 @@ store::ShardState ServiceProvider::export_state() const {
   state.tx_accepted_total = c_tx_accepted_->value();
   state.enroll_sessions = enroll_sessions_.snapshot();
   state.tx_sessions = tx_sessions_.snapshot();
-  // The context map iterates in hash order; sort so two SPs with equal
-  // state serialize identically (the restore/handoff equivalence the
-  // property tests assert).
   const auto& enrolled = crypto_.contexts();
   state.enrolled.reserve(enrolled.size());
   for (const auto& [id, ctx] : enrolled) {
     state.enrolled.push_back(store::EnrolledClient{id, ctx.key().serialize()});
   }
-  std::sort(state.enrolled.begin(), state.enrolled.end(),
-            [](const store::EnrolledClient& a, const store::EnrolledClient& b) {
-              return a.id < b.id;
-            });
+  // The context map iterates in hash order; sort so two SPs with equal
+  // state serialize identically (the restore/handoff equivalence the
+  // property tests assert).
+  sort_by_id(state.enrolled);
   state.replay_digests = seen_signatures_.export_digests();
   for (const SubmitDedup& slot : submit_dedup_) {
     if (slot.used == 0) continue;
@@ -490,42 +464,34 @@ store::ShardState ServiceProvider::export_state() const {
   return state;
 }
 
-void ServiceProvider::restore_state(store::ShardState&& state) {
+void ServiceProvider::import_state(store::ShardState&& state) {
   advance_time_to(SimTime{state.source_now_ns});
   merge_restore(enroll_sessions_, std::move(state.enroll_sessions));
   merge_restore(tx_sessions_, std::move(state.tx_sessions));
   for (store::EnrolledClient& client : state.enrolled) {
     auto key = tpm::AttestationKey::deserialize(client.key_blob);
     if (!key.ok()) {
-      // The snapshot CRC passed, so an unparseable key is a logic bug or
-      // targeted tampering, not bit-rot; refusing to start beats silently
+      // Blobs come from this code's own serialize() behind a CRC (or
+      // straight from another shard), so an unparseable key is a logic
+      // bug or targeted tampering, not bit-rot; refusing beats silently
       // forgetting an enrollment.
-      throw std::runtime_error("ServiceProvider: recovered key for '" +
+      throw std::runtime_error("ServiceProvider: imported key for '" +
                                client.id + "' unparseable: " +
                                key.error().to_string());
     }
     // Rebuilding the verify context redoes the Montgomery / window-table
-    // precompute -- the genuine per-client recovery cost
-    // bench_crash_recovery measures.
+    // precompute -- the per-client cost of recovery and of a rebalance.
     crypto_.contexts().insert_or_assign(
-        client.id, tpm::AttestationVerifyContext(key.take()));
+        std::move(client.id), tpm::AttestationVerifyContext(key.take()));
   }
   for (const store::ReplayDigest& d : state.replay_digests) {
     seen_signatures_.insert_digest(d);
   }
-  if (!submit_dedup_.empty()) {
-    for (const store::DedupRow& row : state.dedup) {
-      submit_dedup_[submit_dedup_index(row.client, row.digest)] =
-          SubmitDedup{row.client, row.digest, row.tx_id, 1};
-    }
+  for (const store::DedupRow& row : state.dedup) {
+    submit_dedup_[submit_dedup_index(row.client, row.digest)] =
+        SubmitDedup{row.client, row.digest, row.tx_id, 1};
   }
   next_tx_id_ = std::max(next_tx_id_, state.next_tx_id);
-  // Cumulative counters: the journal carries the shard's totals, the
-  // enrolled count is the recovered population. Per-format and per-reject
-  // slices are observability-only and restart at zero (documented in
-  // DESIGN.md).
-  c_tx_accepted_->inc(state.tx_accepted_total);
-  c_enrolled_->inc(state.enrolled.size());
   publish_session_metrics();
 }
 
@@ -661,15 +627,13 @@ Bytes ServiceProvider::process_frame(BytesView frame) {
             .serialize());
   }
   const auto& [type, payload] = opened.value();
-  // Idempotent re-delivery layer (config_.idempotent_replies): before
-  // reprocessing, check whether this exact payload already advanced a
-  // session -- if so, replay the cached response byte-identically (no
-  // counters move: the transaction happened once). Begins replay against
-  // a live kChallengeSent session; completes replay against a terminal
-  // session held until its original deadline. A differing payload aimed
-  // at a settled session is not a retransmission and gets the typed
-  // kRetryMismatch reject.
-  const bool idem = config_.idempotent_replies;
+  // Idempotent re-delivery: before reprocessing, check whether this exact
+  // payload already advanced a session -- if so, replay the cached
+  // response byte-identically (no counters move: the transaction
+  // happened once). Begins replay against a live kChallengeSent session;
+  // completes replay against a terminal session held until its original
+  // deadline. A differing payload aimed at a settled session is not a
+  // retransmission and gets the typed kRetryMismatch reject.
   switch (type) {
     case MsgType::kEnrollBegin: {
       auto msg = EnrollBegin::deserialize(payload);
@@ -678,10 +642,6 @@ Bytes ServiceProvider::process_frame(BytesView frame) {
             MsgType::kEnrollResult,
             reject_enrollment(proto::RejectCode::kMalformedEnrollBegin)
                 .serialize());
-      }
-      if (!idem) {
-        return envelope(MsgType::kEnrollChallenge,
-                        begin_enrollment(msg.value()).serialize());
       }
       const proto::SessionTable::Key key =
           proto::SessionTable::client_key(msg.value().client_id);
@@ -707,10 +667,6 @@ Bytes ServiceProvider::process_frame(BytesView frame) {
             MsgType::kEnrollResult,
             reject_enrollment(proto::RejectCode::kMalformedEnrollComplete)
                 .serialize());
-      }
-      if (!idem) {
-        return envelope(MsgType::kEnrollResult,
-                        complete_enrollment(msg.value()).serialize());
       }
       const proto::SessionTable::Key key =
           proto::SessionTable::client_key(msg.value().client_id);
@@ -742,10 +698,6 @@ Bytes ServiceProvider::process_frame(BytesView frame) {
             MsgType::kTxResult,
             reject_tx(0, proto::RejectCode::kMalformedTxSubmit)
                 .serialize());
-      }
-      if (!idem) {
-        return envelope(MsgType::kTxChallenge,
-                        begin_transaction(msg.value()).serialize());
       }
       // A retransmitted TxSubmit cannot name the tx_id it was assigned;
       // the dedup map remembers the mapping so the retry finds the
@@ -781,10 +733,6 @@ Bytes ServiceProvider::process_frame(BytesView frame) {
             MsgType::kTxResult,
             reject_tx(0, proto::RejectCode::kMalformedTxConfirm)
                 .serialize());
-      }
-      if (!idem) {
-        return envelope(MsgType::kTxResult,
-                        complete_transaction(msg.value()).serialize());
       }
       const proto::SessionTable::Key key =
           proto::SessionTable::tx_key(msg.value().tx_id);

@@ -23,11 +23,17 @@
 // array -- no per-reject heap allocation on the hot path -- and echoed
 // on the wire.
 //
+// Entry point: the protocol exchange is the SP's only way in. Every
+// message arrives as a frame through handle_frame / handle_frame_batch,
+// so every mutation passes the response cache, SubmitDedup and (on a
+// durable SP) the write-ahead journal; the four per-message steps are
+// private.
+//
 // Concurrency: one ServiceProvider is single-threaded by design (the
 // session tables and replay cache have no interleavings to reason
-// about). svc::VerifierService scales it by running one instance per
-// client shard; only the metrics instruments underneath stats() are
-// cross-thread safe.
+// about). svc::VerifierService runs one behind one worker thread, and
+// cluster::VerifierCluster shards clients across such services; only
+// the metrics instruments underneath stats() are cross-thread safe.
 #pragma once
 
 #include <array>
@@ -50,6 +56,7 @@
 #include "proto/sp_core.h"
 #include "sp/attestation_port.h"
 #include "sp/replay_cache.h"
+#include "store/shard_state.h"
 #include "tpm/attestation.h"
 #include "tpm/privacy_ca.h"
 #include "util/bytes.h"
@@ -58,7 +65,6 @@
 
 namespace tp::store {
 class DurableLog;
-struct ShardState;
 }  // namespace tp::store
 
 namespace tp::sp {
@@ -67,9 +73,6 @@ struct SpConfig {
   Bytes golden_pcr17;               // published PAL measurement
   crypto::RsaPublicKey ca_public;   // Privacy CA root
   Bytes seed = bytes_of("sp-seed"); // nonce generator seed
-  /// Challenge nonce length; clamped to SessionTable::kMaxNonceLen (32)
-  /// so nonces stay inline in the fixed-size session slots.
-  std::size_t nonce_len = 20;
 
   /// Attestation policies this SP accepts, one per supported platform
   /// flavour (AMD SKINIT, Intel TXT, ...) and quote format (TPM 1.2 /
@@ -83,17 +86,6 @@ struct SpConfig {
   /// like an unprotected 2011 web service -- any well-formed TxConfirm is
   /// executed without verification (the "no defence" row of F2).
   bool require_trusted_path = true;
-
-  /// Idempotent re-delivery handling on the frame path (handle_frame):
-  /// settled sessions are held in their table -- terminal state plus the
-  /// serialized response -- until their original deadline, and a
-  /// byte-identical retransmission of EnrollBegin/TxSubmit/
-  /// EnrollComplete/TxConfirm is answered by replaying that response
-  /// instead of reprocessing, so a duplicated or retried frame can never
-  /// double-accept. A retransmission whose bytes differ from the settled
-  /// original gets the typed kRetryMismatch reject. The direct-call API
-  /// is unaffected. Disable to restore settle-and-erase.
-  bool idempotent_replies = true;
 
   /// Bound on the defence-in-depth signature replay cache, in entries
   /// (~33 bytes each); the oldest entry is evicted FIFO once the cache is
@@ -129,15 +121,16 @@ struct SpConfig {
   /// issued itself.
   std::uint64_t tx_id_base = 0;
 
-  /// Metrics registry the SP's counters and latency histograms live in;
-  /// nullptr -> the SP owns a private registry. A shared registry needs a
-  /// distinct prefix per SP instance (svc uses "sp.shard<k>").
+  /// Metrics registry the SP's counters and latency histograms live in
+  /// (all named "sp.*"); nullptr -> the SP owns a private registry. A
+  /// shared registry holds at most one SP: two would alias each other's
+  /// counters.
   obs::Registry* metrics = nullptr;
-  std::string metrics_prefix = "sp";
 
   /// Write-ahead journal for crash consistency (src/store). When set, the
-  /// constructor first RECOVERS: it replays the log's snapshot+journal
-  /// into this SP (equivalent to import_handoff of the pre-crash state),
+  /// constructor first RECOVERS: it folds the log's snapshot+journal into
+  /// one ShardState and imports it (the same import_state a handoff
+  /// uses), restores the cumulative accept and enrolled counters,
   /// publishes sp.recovery.* metrics, and reseeds the nonce stream so a
   /// restarted shard never reuses a pre-crash nonce. Afterwards every
   /// frame that mutates durable state (enroll admitted, tx settled +
@@ -146,10 +139,8 @@ struct SpConfig {
   /// records in one backend append (one write + one fdatasync on
   /// FileBackend) BEFORE it returns any reply -- the write-ahead
   /// contract that makes an acked operation survive process death, paid
-  /// once per call rather than once per record. Requires
-  /// idempotent_replies (recovery replays cached responses; one-shot
-  /// mode has nothing to replay). The caller owns the log and its
-  /// backend, and must not share one log between SPs.
+  /// once per call rather than once per record. The caller owns the log
+  /// and its backend, and must not share one log between SPs.
   store::DurableLog* durable = nullptr;
 };
 
@@ -207,41 +198,25 @@ struct SpStats {
   void reset() { *this = SpStats{}; }
 };
 
-/// Everything one shard exports for the clients leaving it during a
-/// cluster rebalance: their live protocol sessions (enrollment and
-/// confirmation, deadlines intact), their cached verify contexts, their
-/// TxSubmit dedup entries, and the shard's signature-replay digests.
-/// Replay digests are copied wholesale rather than per-client: the cache
-/// stores unattributable signature hashes, and merging a superset into
-/// the destination only widens the defence-in-depth screen (a signature
-/// is never legitimately presented to two shards).
-struct HandoffBundle {
-  struct DedupEntry {
-    proto::SessionTable::Key client{};
-    proto::SessionTable::Key digest{};
-    std::uint64_t tx_id = 0;
-  };
-
-  std::vector<proto::SessionTable::Entry> enroll_sessions;
-  std::vector<proto::SessionTable::Entry> tx_sessions;
-  std::vector<std::pair<std::string, tpm::AttestationVerifyContext>> enrolled;
-  std::vector<ReplayCache::Digest> replay_digests;
-  std::vector<DedupEntry> dedup;
-  /// Source shard's session-timeline position at export; the importer
-  /// advances to it so moved deadlines keep their meaning.
-  SimTime source_now{0};
-
-  std::size_t session_count() const {
-    return enroll_sessions.size() + tx_sessions.size();
-  }
-};
-
 class ServiceProvider {
  public:
+  /// Challenge nonce length in bytes; nonces live inline in the
+  /// fixed-size session slots.
+  static constexpr std::size_t kNonceLen = 20;
+  static_assert(kNonceLen <= proto::SessionTable::kMaxNonceLen);
+
   explicit ServiceProvider(SpConfig config);
 
   /// Server loop entry: one request frame in, one response frame out.
   /// Malformed input yields a rejecting response, never a crash.
+  ///
+  /// Idempotent re-delivery: a settled session is held in its table --
+  /// terminal state plus the serialized response -- until its original
+  /// deadline, and a byte-identical retransmission of EnrollBegin /
+  /// TxSubmit / EnrollComplete / TxConfirm is answered by replaying that
+  /// response instead of reprocessing, so a duplicated or retried frame
+  /// can never double-accept. A retransmission whose bytes differ from
+  /// the settled original gets the typed kRetryMismatch reject.
   Bytes handle_frame(BytesView frame);
   /// Same, but first advances the SP's session timeline to `now` --
   /// the serving runtime passes its request clock down so in-queue
@@ -252,16 +227,11 @@ class ServiceProvider {
   /// as handle_frame, in order (byte-identical responses, identical
   /// final session/replay/counter state), then commits the whole call's
   /// journal records in one backend append before returning -- the
-  /// group commit a svc worker's queue drain pays once per batch.
+  /// group commit a svc worker's queue drain pays once per batch. The
+  /// two entry points differ only in how many frames share one commit.
   std::vector<Bytes> handle_frame_batch(std::span<const BytesView> frames);
   std::vector<Bytes> handle_frame_batch(std::span<const BytesView> frames,
                                         SimTime now);
-
-  // Direct-call API (same logic; used by unit tests and benches).
-  core::EnrollChallenge begin_enrollment(const core::EnrollBegin& msg);
-  core::EnrollResult complete_enrollment(const core::EnrollComplete& msg);
-  core::TxChallenge begin_transaction(const core::TxSubmit& msg);
-  core::TxResult complete_transaction(const core::TxConfirm& msg);
 
   bool is_enrolled(const std::string& client_id) const {
     return crypto_.is_enrolled(client_id);
@@ -322,17 +292,16 @@ class ServiceProvider {
 
   /// Counter snapshot, by value, built from atomic counters only — safe
   /// while a worker thread drives this SP.
-  SpStats stats() const { return stats_snapshot(); }
-  SpStats stats_snapshot() const;
+  SpStats stats() const;
 
   /// Zeroes this SP's counters/histograms so benches can take clean
   /// per-phase measurements.
   void reset_stats();
 
   /// The registry backing stats(); also carries the enroll/tx latency
-  /// histograms ("<prefix>.enroll_ns", "<prefix>.tx_ns") and the
-  /// session-table gauges ("<prefix>.enroll_sessions", "<prefix>.
-  /// tx_sessions") plus eviction/expiry counters.
+  /// histograms ("sp.enroll_ns", "sp.tx_ns") and the session-table
+  /// gauges ("sp.enroll_sessions", "sp.tx_sessions") plus eviction/expiry
+  /// counters.
   obs::Registry& metrics() { return *registry_; }
 
   /// Clients with a cached verify context (completed enrollments still
@@ -350,19 +319,26 @@ class ServiceProvider {
            submit_dedup_memory_bytes() + crypto_.enrolled_memory_bytes();
   }
 
-  /// Removes and returns every piece of per-client state whose session
-  /// key satisfies `moves` (keys are proto::SessionTable::client_key of
-  /// the client id; confirmation sessions and dedup entries are selected
-  /// by their stored client tag, which is that same key). Replay digests
-  /// are copied, not removed -- see HandoffBundle. The caller feeds the
-  /// bundle to the new owner's import_handoff.
-  HandoffBundle extract_for_handoff(
+  /// Removes and returns, as a ShardState, every piece of per-client
+  /// state whose session key satisfies `moves` (keys are
+  /// proto::SessionTable::client_key of the client id; confirmation
+  /// sessions and dedup rows are selected by their stored client tag,
+  /// which is that same key): the moved sessions, the moved clients as
+  /// {id, key blob} with their verify contexts erased here, the moved
+  /// dedup rows, and source_now_ns. Replay digests are unattributable
+  /// signature hashes, so every one is copied, not removed: merging a
+  /// superset into the destination only widens its defence-in-depth
+  /// screen (a signature is never legitimately presented to two
+  /// shards). next_tx_id and tx_accepted_total stay 0 -- tx ids and
+  /// accept totals belong to the issuing shard. The caller feeds the
+  /// state to the new owner's import_state.
+  store::ShardState extract_for_handoff(
       const std::function<bool(const proto::SessionTable::Key&)>& moves);
 
   /// The durable-state vocabulary as a value: sessions, enrolled keys
   /// (serialized), replay digests, dedup rows, counters. This is what
-  /// compaction snapshots and what recovery rebuilds -- the same set
-  /// extract_for_handoff moves, in the store layer's serializable form.
+  /// compaction snapshots and what recovery rebuilds -- the same shape
+  /// extract_for_handoff moves.
   store::ShardState export_state() const;
 
   /// Compacts the journal into a snapshot of the current state (no-op
@@ -371,14 +347,19 @@ class ServiceProvider {
   /// stale journal, and on clean shutdown so restart is snapshot-fast.
   void checkpoint();
 
-  /// Merges a bundle exported by another shard's extract_for_handoff:
-  /// advances the session timeline to the source's, merge-restores both
-  /// session tables in ascending-deadline order (preserving the
-  /// LRU == deadline invariant), adopts the verify contexts, replays the
-  /// replay-cache digests and re-seats the TxSubmit dedup entries.
-  /// Exactly-once semantics survive the move: a settled session's cached
-  /// response, its dedup entry and its replay digests all arrive intact.
-  void import_handoff(HandoffBundle&& bundle);
+  /// Merges a ShardState into this SP: one import for a handoff (the
+  /// state another shard's extract_for_handoff produced) and for crash
+  /// recovery (the constructor feeds it the journal's fold). Advances
+  /// the session timeline to the source's, merge-restores both session
+  /// tables in ascending-deadline order (preserving the LRU == deadline
+  /// invariant), rebuilds each client's verify context from its key
+  /// blob, replays the replay-cache digests, re-seats the TxSubmit dedup
+  /// rows and raises the tx-id cursor to next_tx_id. Counters are not
+  /// touched: a handoff moves clients, it does not enroll them again.
+  /// Exactly-once semantics survive: a settled session's cached
+  /// response, its dedup row and its replay digests all arrive intact.
+  /// Throws std::runtime_error on an unparseable key blob.
+  void import_state(store::ShardState&& state);
 
  private:
   /// One entry of the direct-mapped TxSubmit dedup map: remembers which
@@ -398,9 +379,12 @@ class ServiceProvider {
   /// per frame and commits once per batch).
   Bytes process_frame(BytesView frame);
 
-  /// Rebuilds in-memory state from a recovered ShardState (constructor
-  /// path when config_.durable is set).
-  void restore_state(store::ShardState&& state);
+  // The four protocol steps process_frame runs once a frame has passed
+  // its retransmission screen.
+  core::EnrollChallenge begin_enrollment(const core::EnrollBegin& msg);
+  core::EnrollResult complete_enrollment(const core::EnrollComplete& msg);
+  core::TxChallenge begin_transaction(const core::TxSubmit& msg);
+  core::TxResult complete_transaction(const core::TxConfirm& msg);
 
   // Write-ahead records, one per durable frame, staged after the frame's
   // reply is cached. Nothing reaches storage until commit_journal() at
@@ -463,7 +447,7 @@ class ServiceProvider {
   obs::Counter* c_enroll_rejected_;
   obs::Counter* c_tx_accepted_;
   obs::Counter* c_tx_rejected_;
-  /// Per-backend slices ("<prefix>.enrolled.tpm12", ".enrolled.tpm2",
+  /// Per-backend slices ("sp.enrolled.tpm12", ".enrolled.tpm2",
   /// ".tx_accepted.tpm12", ".tx_accepted.tpm2").
   std::array<obs::Counter*, tpm::kNumQuoteFormats> c_enrolled_fmt_{};
   std::array<obs::Counter*, tpm::kNumQuoteFormats> c_tx_accepted_fmt_{};
@@ -475,7 +459,7 @@ class ServiceProvider {
   obs::Counter* c_replayed_challenge_;
   obs::Counter* c_replayed_result_;
   /// Recovery observability, created only for durable SPs
-  /// ("<prefix>.recovery.replayed_records", ".recovery.truncated_tail",
+  /// ("sp.recovery.replayed_records", ".recovery.truncated_tail",
   /// ".recovery.snapshot_age").
   obs::Counter* c_recovery_replayed_ = nullptr;
   obs::Counter* c_recovery_truncated_ = nullptr;

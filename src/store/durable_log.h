@@ -20,9 +20,9 @@
 //     crash window between write_snapshot and reset_journal is safe:
 //     the snapshot carries last_seq and replay skips covered records.
 //
-// One DurableLog belongs to one shard (single svc worker; durable mode
-// forces num_workers == 1), so appends are not internally synchronized
-// beyond what the backend provides.
+// One DurableLog belongs to one shard, whose SP runs behind one svc
+// worker thread, so appends are not internally synchronized beyond what
+// the backend provides.
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,15 @@
 // ShardState: one serialization for everything a verifier shard must
 // not forget, shared by crash recovery and shard handoff.
 //
-// PR 8 established the durable-state vocabulary when it taught shards
-// to hand live state to each other: enroll/tx sessions (with their
-// cached idempotent replies), enrolled attestation keys, replay-cache
-// digests and SubmitDedup rows. Crash recovery needs exactly the same
-// set, so this module gives that vocabulary a byte format and two
-// producers: a snapshot (the whole ShardState, CRC-sealed) and journal
-// record bodies (one frame's worth of deltas). Recovery = deserialize
-// snapshot, then fold journal records into it via ShardStateBuilder;
-// the result feeds the same restore path import_handoff uses.
+// The durable-state vocabulary: enroll/tx sessions (with their cached
+// idempotent replies), enrolled attestation keys, replay-cache digests
+// and SubmitDedup rows. Shard handoff and crash recovery move exactly
+// this set, so it is one type with a byte format and two producers: a
+// snapshot (the whole ShardState, CRC-sealed) and journal record bodies
+// (one frame's worth of deltas). Recovery = deserialize snapshot, then
+// fold journal records into it via ShardStateBuilder; a handoff is
+// ServiceProvider::extract_for_handoff. Either result feeds the one
+// ServiceProvider::import_state.
 //
 // Invariants the builder maintains:
 //   - Sessions materialize in ascending (deadline, arrival) order -- the
@@ -75,7 +75,7 @@ struct ShardState {
   std::vector<ReplayDigest> replay_digests;   // oldest first (FIFO order)
   std::vector<DedupRow> dedup;
   /// Virtual-clock position of the source shard when the state was
-  /// captured; restore() advances the destination to it.
+  /// captured; import_state advances the destination to it.
   std::int64_t source_now_ns = 0;
   std::uint64_t next_tx_id = 0;
   std::uint64_t tx_accepted_total = 0;

@@ -15,11 +15,10 @@
 // Mutex + two condition variables, deliberately: the queue hands over
 // whole requests whose processing cost (a signature verify) is three
 // orders of magnitude above the lock hand-off, so a lock-free ring would
-// buy nothing measurable here (bench_svc_throughput confirms
-// near-linear scaling). pop_batch() is the consumer-side amortizer: one
-// wakeup and one lock round trip hand over every queued request up to
-// the caller's bound, which the worker hands to the SP as one batch
-// (one journal commit per drain on a durable shard).
+// buy nothing measurable here. pop_batch() is the consumer-side
+// amortizer: one wakeup and one lock round trip hand over every queued
+// request up to the caller's bound, which the worker hands to the SP as
+// one batch (one journal commit per drain on a durable shard).
 #pragma once
 
 #include <condition_variable>

@@ -1,5 +1,6 @@
 #include "svc/verifier_service.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -25,23 +26,13 @@ std::future<SvcResponse> immediate(SvcStatus status) {
 }
 
 SvcConfig validated(SvcConfig config) {
-  if (config.num_workers == 0) {
-    throw std::invalid_argument(
-        "SvcConfig::num_workers must be >= 1 (one worker thread per SP "
-        "shard; 0 would mean a service that can never process a request)");
-  }
   if (config.queue_depth == 0) {
     throw std::invalid_argument(
-        "SvcConfig::queue_depth must be >= 1 (the per-shard backpressure "
-        "bound; 0 would block every producer forever)");
+        "SvcConfig::queue_depth must be >= 1 (the backpressure bound; 0 "
+        "would block every producer forever)");
   }
-  if (config.sp.durable != nullptr && config.num_workers != 1) {
-    throw std::invalid_argument(
-        "SvcConfig: a durable SP template requires num_workers == 1 -- a "
-        "DurableLog serializes exactly one SP's mutations and cannot be "
-        "shared across shards (the cluster layer gives each member its "
-        "own log)");
-  }
+  config.max_batch = std::clamp<std::size_t>(config.max_batch, 1,
+                                             config.queue_depth);
   return config;
 }
 
@@ -49,52 +40,29 @@ SvcConfig validated(SvcConfig config) {
 
 VerifierService::VerifierService(SvcConfig config)
     : config_(validated(std::move(config))),
-      router_(config_.num_workers),
       epoch_(config_.epoch == Clock::time_point{} ? Clock::now()
-                                                  : config_.epoch) {
-  if (config_.metrics != nullptr) {
-    registry_ = config_.metrics;
-  } else {
-    owned_registry_ = std::make_unique<obs::Registry>();
-    registry_ = owned_registry_.get();
-  }
-  c_submitted_ = &registry_->counter("svc.requests_submitted");
-  c_completed_ = &registry_->counter("svc.requests_completed");
-  c_expired_ = &registry_->counter("svc.deadline_expired");
-  c_rejected_full_ = &registry_->counter("svc.rejected_queue_full");
-  c_rejected_shutdown_ = &registry_->counter("svc.rejected_shutdown");
-  c_backpressure_waits_ = &registry_->counter("svc.backpressure_waits");
-  h_queue_wait_ = &registry_->histogram("svc.queue_wait_ns");
-  h_handle_ = &registry_->histogram("svc.handle_ns");
-  h_request_ = &registry_->histogram("svc.request_ns");
+                                                  : config_.epoch),
+      queue_(config_.queue_depth) {
+  c_submitted_ = &registry_.counter("svc.requests_submitted");
+  c_completed_ = &registry_.counter("svc.requests_completed");
+  c_expired_ = &registry_.counter("svc.deadline_expired");
+  c_rejected_full_ = &registry_.counter("svc.rejected_queue_full");
+  c_rejected_shutdown_ = &registry_.counter("svc.rejected_shutdown");
+  c_backpressure_waits_ = &registry_.counter("svc.backpressure_waits");
+  h_queue_wait_ = &registry_.histogram("svc.queue_wait_ns");
+  h_handle_ = &registry_.histogram("svc.handle_ns");
+  h_request_ = &registry_.histogram("svc.request_ns");
   // Batch sizes are small integers, not nanoseconds: buckets start at 1
   // and grow slowly so 1..max_batch each land distinguishably.
-  h_batch_size_ = &registry_->histogram(
+  h_batch_size_ = &registry_.histogram(
       "svc.batch_size", obs::Histogram::Options{1, 1 << 20, 1.2});
 
-  if (config_.max_batch == 0) config_.max_batch = 1;
-  if (config_.max_batch > config_.queue_depth) {
-    config_.max_batch = config_.queue_depth;
-  }
-
-  const std::size_t n = router_.num_shards();
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto shard = std::make_unique<Shard>();
-    sp::SpConfig sp_config = config_.sp;
-    // Distinct nonce stream and metrics namespace per shard.
-    sp_config.seed =
-        concat(sp_config.seed, bytes_of(":shard" + std::to_string(i)));
-    sp_config.metrics = registry_;
-    sp_config.metrics_prefix = "sp.shard" + std::to_string(i);
-    // Each shard's session timeline is driven by this worker from the
-    // service's steady clock (see worker_loop), not a simulation clock.
-    sp_config.clock = nullptr;
-    shard->sp = std::make_unique<sp::ServiceProvider>(std::move(sp_config));
-    shard->queue =
-        std::make_unique<BoundedQueue<Request>>(config_.queue_depth);
-    shards_.push_back(std::move(shard));
-  }
+  sp::SpConfig sp_config = config_.sp;
+  sp_config.metrics = &registry_;
+  // The worker drives the session timeline from the service's steady
+  // clock (see worker_loop), not a simulation clock.
+  sp_config.clock = nullptr;
+  sp_ = std::make_unique<sp::ServiceProvider>(std::move(sp_config));
 }
 
 VerifierService::~VerifierService() { drain(); }
@@ -102,21 +70,18 @@ VerifierService::~VerifierService() { drain(); }
 void VerifierService::start() {
   if (running_.exchange(true, std::memory_order_acq_rel)) return;
   discard_remaining_.store(false, std::memory_order_release);
-  // A restart after drain()/shutdown_now() finds the queues closed;
-  // workers are joined at this point, so reopening is race-free.
-  for (auto& shard : shards_) shard->queue->reopen();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->worker = std::thread([this, i] { worker_loop(i); });
-  }
+  // A restart after drain()/shutdown_now() finds the queue closed; the
+  // worker is joined at this point, so reopening is race-free.
+  queue_.reopen();
+  worker_ = std::thread([this] { worker_loop(); });
   accepting_.store(true, std::memory_order_release);
-  TP_LOG(kInfo, "svc") << "verifier service started: "
-                       << shards_.size() << " shard(s), queue depth "
+  TP_LOG(kInfo, "svc") << "verifier service started: queue depth "
                        << config_.queue_depth;
 }
 
-std::future<SvcResponse> VerifierService::enqueue(
-    const std::string& client_id, Bytes frame, Clock::time_point deadline,
-    bool blocking) {
+std::future<SvcResponse> VerifierService::enqueue(Bytes frame,
+                                                  Clock::time_point deadline,
+                                                  bool blocking) {
   if (!accepting_.load(std::memory_order_acquire)) {
     c_rejected_shutdown_->inc();
     return immediate(SvcStatus::kShutdown);
@@ -128,20 +93,19 @@ std::future<SvcResponse> VerifierService::enqueue(
   auto future = request.promise.get_future();
   c_submitted_->inc();
 
-  auto& queue = *shards_[router_.shard_for(client_id)]->queue;
   if (blocking) {
-    if (!queue.try_push(std::move(request))) {
+    if (!queue_.try_push(std::move(request))) {
       // Full (or closing): record the backpressure event, then block.
       // try_push leaves `request` intact on failure, so the retry below
       // pushes the same promise.
       c_backpressure_waits_->inc();
-      if (!queue.push(std::move(request))) {
+      if (!queue_.push(std::move(request))) {
         c_rejected_shutdown_->inc();
         return immediate(SvcStatus::kShutdown);
       }
     }
-  } else if (!queue.try_push(std::move(request))) {
-    if (queue.closed()) {
+  } else if (!queue_.try_push(std::move(request))) {
+    if (queue_.closed()) {
       c_rejected_shutdown_->inc();
       return immediate(SvcStatus::kShutdown);
     }
@@ -151,37 +115,32 @@ std::future<SvcResponse> VerifierService::enqueue(
   return future;
 }
 
-std::future<SvcResponse> VerifierService::submit(const std::string& client_id,
-                                                 Bytes frame) {
+std::future<SvcResponse> VerifierService::submit(Bytes frame) {
   Clock::time_point deadline{};  // epoch == no deadline
   if (config_.default_deadline.count() > 0) {
     deadline = Clock::now() + config_.default_deadline;
   }
-  return enqueue(client_id, std::move(frame), deadline, /*blocking=*/true);
+  return enqueue(std::move(frame), deadline, /*blocking=*/true);
 }
 
-std::future<SvcResponse> VerifierService::submit(const std::string& client_id,
-                                                 Bytes frame,
+std::future<SvcResponse> VerifierService::submit(Bytes frame,
                                                  Clock::time_point deadline) {
-  return enqueue(client_id, std::move(frame), deadline, /*blocking=*/true);
+  return enqueue(std::move(frame), deadline, /*blocking=*/true);
 }
 
-std::future<SvcResponse> VerifierService::try_submit(
-    const std::string& client_id, Bytes frame) {
+std::future<SvcResponse> VerifierService::try_submit(Bytes frame) {
   Clock::time_point deadline{};
   if (config_.default_deadline.count() > 0) {
     deadline = Clock::now() + config_.default_deadline;
   }
-  return enqueue(client_id, std::move(frame), deadline, /*blocking=*/false);
+  return enqueue(std::move(frame), deadline, /*blocking=*/false);
 }
 
-SvcResponse VerifierService::call(const std::string& client_id,
-                                  BytesView frame) {
-  return submit(client_id, Bytes(frame.begin(), frame.end())).get();
+SvcResponse VerifierService::call(BytesView frame) {
+  return submit(Bytes(frame.begin(), frame.end())).get();
 }
 
-void VerifierService::submit_with_promise(const std::string& client_id,
-                                          Bytes frame,
+void VerifierService::submit_with_promise(Bytes frame,
                                           std::promise<SvcResponse> promise) {
   if (!accepting_.load(std::memory_order_acquire)) {
     c_rejected_shutdown_->inc();
@@ -196,20 +155,18 @@ void VerifierService::submit_with_promise(const std::string& client_id,
   }
   request.promise = std::move(promise);
   c_submitted_->inc();
-  auto& queue = *shards_[router_.shard_for(client_id)]->queue;
-  if (!queue.try_push(std::move(request))) {
+  if (!queue_.try_push(std::move(request))) {
     c_backpressure_waits_->inc();
     // A failed push leaves `request` (and its promise) intact, so the
     // caller's future still resolves exactly once.
-    if (!queue.push(std::move(request))) {
+    if (!queue_.push(std::move(request))) {
       c_rejected_shutdown_->inc();
       request.promise.set_value(SvcResponse{SvcStatus::kShutdown, {}});
     }
   }
 }
 
-void VerifierService::worker_loop(std::size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
+void VerifierService::worker_loop() {
   std::vector<Request> batch;
   std::vector<std::size_t> live;        // indices that reach the SP
   std::vector<BytesView> frames;        // their frames
@@ -218,13 +175,12 @@ void VerifierService::worker_loop(std::size_t shard_index) {
   frames.reserve(config_.max_batch);
 
   // One wakeup drains up to max_batch queued requests; everything that
-  // survives the per-request deadline/shutdown screens reaches the
-  // shard SP as ONE handle_frame_batch call (answer-for-answer
-  // equivalent to per-frame handling, but a durable SP commits the
-  // batch's journal records with one write + fdatasync before the call
-  // returns -- so no reply below is released before its record is on
-  // disk).
-  while (shard.queue->pop_batch(batch, config_.max_batch) > 0) {
+  // survives the per-request deadline/shutdown screens reaches the SP as
+  // ONE handle_frame_batch call (answer-for-answer equivalent to
+  // per-frame handling, but a durable SP commits the batch's journal
+  // records with one write + fdatasync before the call returns -- so no
+  // reply below is released before its record is on disk).
+  while (queue_.pop_batch(batch, config_.max_batch) > 0) {
     const auto start = Clock::now();
     h_batch_size_->record(batch.size());
     live.clear();
@@ -250,7 +206,7 @@ void VerifierService::worker_loop(std::size_t shard_index) {
     if (live.empty()) continue;
 
     if (crashed_.load(std::memory_order_acquire)) {
-      // The shard SP died mid-commit on an earlier batch. Its journal
+      // The SP died mid-commit on an earlier batch. Its journal
       // holds every acked mutation and possibly a torn tail; touching
       // the in-memory SP again could ack work the journal never saw.
       // Fail everything still arriving -- recovery is a rebuild.
@@ -267,22 +223,21 @@ void VerifierService::worker_loop(std::size_t shard_index) {
       // queue deadline check above just used, as ns since the service's
       // epoch -- one timeline for both expiry mechanisms.
       obs::ScopedTimer timer(*h_handle_);
-      responses = shard.sp->handle_frame_batch(
+      responses = sp_->handle_frame_batch(
           frames,
           SimTime{static_cast<std::int64_t>(ns_between(epoch_, start))});
     } catch (const std::runtime_error& error) {
-      // The shard died in its journal commit: an injected crash
+      // The SP died in its journal commit: an injected crash
       // (store::CrashInjected) or a real I/O error such as ENOSPC from
       // the backend's write or fdatasync. The batch's records are at
       // most partly on disk and none of its replies was returned, so
       // failing every live promise with kShutdown keeps the ack set a
       // subset of the journal -- the invariant recovery leans on. No
       // retry: after a failed fdatasync the page cache cannot be
-      // trusted, and a restart rebuilds the shard from the journal.
+      // trusted, and a restart rebuilds the SP from the journal.
       crashed_.store(true, std::memory_order_release);
       accepting_.store(false, std::memory_order_release);
-      TP_LOG(kWarn, "svc") << "shard " << shard_index
-                           << " died committing its journal ("
+      TP_LOG(kWarn, "svc") << "SP died committing its journal ("
                            << error.what()
                            << "); service now rejects all requests";
       for (const std::size_t i : live) {
@@ -302,29 +257,21 @@ void VerifierService::worker_loop(std::size_t shard_index) {
   }
 }
 
-void VerifierService::stop_workers(bool process_remaining) {
+void VerifierService::stop_worker(bool process_remaining) {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   accepting_.store(false, std::memory_order_release);
   discard_remaining_.store(!process_remaining, std::memory_order_release);
-  for (auto& shard : shards_) shard->queue->close();
-  for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
-  }
+  queue_.close();
+  if (worker_.joinable()) worker_.join();
   TP_LOG(kInfo, "svc") << "verifier service stopped ("
                        << (process_remaining ? "drained" : "aborted") << ", "
                        << c_completed_->value() << " requests served)";
 }
 
-void VerifierService::drain() { stop_workers(/*process_remaining=*/true); }
+void VerifierService::drain() { stop_worker(/*process_remaining=*/true); }
 
 void VerifierService::shutdown_now() {
-  stop_workers(/*process_remaining=*/false);
-}
-
-sp::SpStats VerifierService::stats() const {
-  sp::SpStats total;
-  for (const auto& shard : shards_) total += shard->sp->stats_snapshot();
-  return total;
+  stop_worker(/*process_remaining=*/false);
 }
 
 }  // namespace tp::svc

@@ -75,26 +75,28 @@ Result<AttestationKey> parse_public_key(QuoteFormat format, BytesView data) {
 }
 
 AttestationVerifyContext::AttestationVerifyContext(AttestationKey key)
-    : key_(std::move(key)) {
-  if (key_.format == QuoteFormat::kTpm2) {
-    ecdsa_.emplace(key_.ecdsa ? *key_.ecdsa : crypto::EcdsaPublicKey{});
+    : format_(key.format) {
+  if (format_ == QuoteFormat::kTpm2) {
+    ecdsa_.emplace(key.ecdsa ? std::move(*key.ecdsa)
+                             : crypto::EcdsaPublicKey{});
   } else {
-    rsa_.emplace(key_.rsa ? *key_.rsa : crypto::RsaPublicKey{});
+    rsa_.emplace(key.rsa ? std::move(*key.rsa) : crypto::RsaPublicKey{});
   }
 }
 
+AttestationKey AttestationVerifyContext::key() const {
+  return format_ == QuoteFormat::kTpm2
+             ? AttestationKey::of(ecdsa_->public_key())
+             : AttestationKey::of(rsa_->public_key());
+}
+
 std::size_t AttestationVerifyContext::memory_bytes() const {
-  std::size_t n = 0;
-  if (key_.rsa) n += key_.rsa->memory_bytes();
-  if (key_.ecdsa) n += key_.ecdsa->memory_bytes();
-  if (rsa_) n += rsa_->memory_bytes();
-  if (ecdsa_) n += ecdsa_->memory_bytes();
-  return n;
+  return rsa_ ? rsa_->memory_bytes() : ecdsa_->memory_bytes();
 }
 
 Status AttestationVerifyContext::verify(crypto::HashAlg alg, BytesView message,
                                         BytesView signature) const {
-  if (key_.format == QuoteFormat::kTpm2) {
+  if (format_ == QuoteFormat::kTpm2) {
     // The 2.0 backend pairs P-256 with SHA-256 exclusively; a request
     // for any other hash is a caller bug surfaced as a verify failure.
     if (alg != crypto::HashAlg::kSha256) {

@@ -78,18 +78,22 @@ Result<AttestationKey> parse_public_key(QuoteFormat format, BytesView data);
 
 /// Per-client cached signature verification, format-dispatched. The SP
 /// keeps one of these per enrolled client: RSA clients get the cached
-/// Montgomery context, ECDSA clients the precomputed window tables.
+/// Montgomery context, ECDSA clients the precomputed window tables. The
+/// inner context holds the only copy of the key; this class keeps just
+/// the format tag.
 ///
 /// Immutable after construction; safe to share across threads.
 class AttestationVerifyContext {
  public:
   explicit AttestationVerifyContext(AttestationKey key);
 
-  QuoteFormat format() const { return key_.format; }
-  const AttestationKey& key() const { return key_; }
+  QuoteFormat format() const { return format_; }
+  /// The tagged key, rebuilt from the inner context's copy (callers
+  /// serialize it for the journal and snapshots).
+  AttestationKey key() const;
 
-  /// Heap bytes this context owns: the tagged key and the per-scheme
-  /// verify context (its own key copy plus the precompute).
+  /// Heap bytes this context owns: the per-scheme verify context (its
+  /// key copy plus the precompute).
   std::size_t memory_bytes() const;
 
   /// Verifies `signature` over `message`. `alg` selects the RSA
@@ -99,7 +103,7 @@ class AttestationVerifyContext {
                 BytesView signature) const;
 
  private:
-  AttestationKey key_;
+  QuoteFormat format_;
   std::optional<crypto::RsaVerifyContext> rsa_;
   std::optional<crypto::EcdsaVerifyContext> ecdsa_;
 };

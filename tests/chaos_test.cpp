@@ -24,6 +24,7 @@
 #include "pal/human_agent.h"
 #include "sp/deployment.h"
 #include "sp/service_provider.h"
+#include "sp_frames.h"
 #include "tpm/tpm2_device.h"
 #include "tpm/tpm_device.h"
 
@@ -32,10 +33,10 @@ namespace {
 
 using core::MsgType;
 using core::TxChallenge;
-using core::TxConfirm;
 using core::TxResult;
-using core::TxSubmit;
 using core::Verdict;
+using test::confirm_frame;
+using test::submit_frame;
 
 std::uint64_t chaos_seed() {
   static const std::uint64_t seed = [] {
@@ -56,23 +57,6 @@ sp::SpConfig baseline_sp_config(const SimClock* clock) {
   cfg.require_trusted_path = false;  // raw-frame tests skip enrollment
   cfg.clock = clock;
   return cfg;
-}
-
-Bytes submit_frame(const std::string& client, const std::string& summary) {
-  TxSubmit submit;
-  submit.client_id = client;
-  submit.summary = summary;
-  submit.payload = bytes_of("payload:" + summary);
-  return core::envelope(MsgType::kTxSubmit, submit.serialize());
-}
-
-Bytes confirm_frame(const std::string& client, std::uint64_t tx_id,
-                    Verdict verdict) {
-  TxConfirm confirm;
-  confirm.client_id = client;
-  confirm.tx_id = tx_id;
-  confirm.verdict = verdict;
-  return core::envelope(MsgType::kTxConfirm, confirm.serialize());
 }
 
 TEST(ChaosIdempotency, RetransmittedFramesReplayByteIdentically) {

@@ -14,7 +14,7 @@
 // across shards, and frames submitted during a rebalance are parked and
 // re-routed, never dropped. The chaos member of the suite (also under
 // `ctest -L chaos`) drives a full fleet at a ~26% fault rate through a
-// 4-shard cluster with a mid-run shard join.
+// 4-shard cluster with a mid-run shard join and leave.
 #include "cluster/verifier_cluster.h"
 
 #include <gtest/gtest.h>
@@ -30,6 +30,7 @@
 #include "core/messages.h"
 #include "pal/human_agent.h"
 #include "sp/fleet.h"
+#include "sp_frames.h"
 
 namespace tp {
 namespace {
@@ -37,12 +38,8 @@ namespace {
 using cluster::ClusterConfig;
 using cluster::ConsistentHashRouter;
 using cluster::VerifierCluster;
-using core::MsgType;
-using core::TxChallenge;
-using core::TxConfirm;
-using core::TxResult;
-using core::TxSubmit;
-using core::Verdict;
+using test::confirm_frame;
+using test::submit_frame;
 
 // ------------------------------------------------------------------ ring
 
@@ -149,43 +146,19 @@ TEST(ConsistentHash, ReAddingAShardRestoresItsPlacement) {
 ClusterConfig raw_cluster_config(std::size_t shards) {
   ClusterConfig cc;
   cc.num_shards = shards;
-  cc.svc.num_workers = 1;  // overridden per member anyway
   cc.svc.queue_depth = 256;
   cc.svc.sp.require_trusted_path = false;
   return cc;
 }
 
-Bytes submit_frame(const std::string& client, const std::string& summary) {
-  TxSubmit submit;
-  submit.client_id = client;
-  submit.summary = summary;
-  submit.payload = bytes_of("payload:" + summary);
-  return core::envelope(MsgType::kTxSubmit, submit.serialize());
-}
-
-Bytes confirm_frame(const std::string& client, std::uint64_t tx_id) {
-  TxConfirm confirm;
-  confirm.client_id = client;
-  confirm.tx_id = tx_id;
-  confirm.verdict = Verdict::kConfirmed;
-  return core::envelope(MsgType::kTxConfirm, confirm.serialize());
-}
-
 std::uint64_t challenge_tx_id(const svc::SvcResponse& response) {
   EXPECT_EQ(response.status, svc::SvcStatus::kOk);
-  auto opened = core::open_envelope(response.frame);
-  EXPECT_TRUE(opened.ok());
-  auto challenge = TxChallenge::deserialize(opened.value().second);
-  EXPECT_TRUE(challenge.ok());
-  return challenge.value().tx_id;
+  return test::challenge_tx_id(response.frame);
 }
 
 bool result_accepted(const svc::SvcResponse& response) {
-  if (response.status != svc::SvcStatus::kOk) return false;
-  auto opened = core::open_envelope(response.frame);
-  if (!opened.ok()) return false;
-  auto result = TxResult::deserialize(opened.value().second);
-  return result.ok() && result.value().accepted;
+  return response.status == svc::SvcStatus::kOk &&
+         test::result_accepted(response.frame);
 }
 
 TEST(VerifierCluster, ConfigValidation) {
@@ -335,6 +308,29 @@ TEST(VerifierCluster, SubmitsDuringRebalanceAreParkedNeverDropped) {
   cluster.drain();
 }
 
+TEST(VerifierCluster, AggregatesProtocolStatsAcrossShards) {
+  VerifierCluster cluster(raw_cluster_config(4));
+  cluster.start();
+  // Confirmations for transactions nobody submitted: every shard rejects.
+  for (int i = 0; i < 20; ++i) {
+    const std::string id = "ghost-" + std::to_string(i);
+    const svc::SvcResponse response = cluster.call(
+        id, confirm_frame(id, 9000 + static_cast<std::uint64_t>(i)));
+    ASSERT_EQ(response.status, svc::SvcStatus::kOk);
+  }
+  cluster.drain();
+  const sp::SpStats stats = cluster.stats();
+  EXPECT_EQ(stats.tx_rejected, 20u);
+  EXPECT_EQ(stats.tx_accepted, 0u);
+  EXPECT_EQ(stats.rejects(proto::RejectCode::kUnknownTx), 20u);
+  // More than one shard actually saw traffic.
+  std::size_t shards_with_traffic = 0;
+  for (const std::uint32_t id : cluster.shard_ids()) {
+    if (cluster.shard_sp(id).stats().tx_rejected > 0) ++shards_with_traffic;
+  }
+  EXPECT_GT(shards_with_traffic, 1u);
+}
+
 TEST(VerifierCluster, PublishesPerShardGaugesAndRouterCounters) {
   VerifierCluster cluster(raw_cluster_config(2));
   cluster.start();
@@ -374,9 +370,11 @@ TEST(ClusterChaos, FleetConfirmsExactlyOnceThroughRebalancingCluster) {
   // The PR 5 chaos exchange pointed at a 4-shard cluster: every frame of
   // a real fleet (TPM quotes, PAL sessions, RSA confirmation signatures)
   // crosses a link dropping/duplicating/reordering ~26% of messages in
-  // each direction, while a fifth shard joins mid-run. The client-side
-  // and cluster-side accept counts must agree exactly -- retransmits and
-  // the handoff may never double-execute a payment.
+  // each direction, while a fifth shard joins mid-run and leaves again a
+  // round later. The client-side and cluster-side accept counts must
+  // agree exactly -- retransmits and the handoffs may never
+  // double-execute a payment -- and every handoff must move enrolled
+  // clients without counting them again.
   sp::FleetConfig fleet_config;
   fleet_config.num_clients = 8;
   fleet_config.seed = bytes_of("cluster-chaos");
@@ -413,7 +411,22 @@ TEST(ClusterChaos, FleetConfirmsExactlyOnceThroughRebalancingCluster) {
   }
   ASSERT_EQ(fleet.enroll_all(), fleet.size());
 
+  // Each client is resident on exactly one shard and counted as enrolled
+  // exactly once, however often it moved.
+  const auto expect_enrolled_once = [&](const std::string& when) {
+    EXPECT_EQ(cluster.stats().enrolled, fleet.size()) << when;
+    std::size_t resident = 0;
+    for (const std::uint32_t id : cluster.shard_ids()) {
+      resident += cluster.shard_sp(id).enrolled_count();
+    }
+    EXPECT_EQ(resident, fleet.size()) << when;
+  };
+
   std::uint64_t client_accepts = 0;
+  // Accepts settled on a shard that later left: its counters leave the
+  // cluster's totals with it (a handoff moves clients, not history).
+  std::uint64_t departed_accepts = 0;
+  std::uint32_t joined = 0;
   std::uint64_t faults = 0;
   for (std::size_t round = 0; round < 3; ++round) {
     for (std::size_t i = 0; i < fleet.size(); ++i) {
@@ -429,8 +442,17 @@ TEST(ClusterChaos, FleetConfirmsExactlyOnceThroughRebalancingCluster) {
     if (round == 0) {
       // Live resize mid-run, with enrolled clients and replay/dedup
       // state in flight.
-      cluster.add_shard();
+      joined = cluster.add_shard();
       EXPECT_GT(cluster.remapped_keys(), 0u);
+      expect_enrolled_once("after the join");
+    }
+    if (round == 1) {
+      // And the joined shard leaves again: its clients move back.
+      const std::uint64_t remapped = cluster.remapped_keys();
+      departed_accepts = cluster.shard_sp(joined).stats().tx_accepted;
+      cluster.remove_shard(joined);
+      EXPECT_GT(cluster.remapped_keys(), remapped);
+      expect_enrolled_once("after the leave");
     }
   }
   for (std::size_t i = 0; i < fleet.size(); ++i) {
@@ -441,8 +463,8 @@ TEST(ClusterChaos, FleetConfirmsExactlyOnceThroughRebalancingCluster) {
   EXPECT_EQ(client_accepts, fleet.size() * 3);
 
   // Zero double-execution: what the clients counted is exactly what the
-  // cluster executed, retransmits and handoff included.
-  EXPECT_EQ(cluster.stats().tx_accepted, client_accepts);
+  // cluster executed, retransmits and handoffs included.
+  EXPECT_EQ(cluster.stats().tx_accepted + departed_accepts, client_accepts);
   cluster.drain();
 }
 

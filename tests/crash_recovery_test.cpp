@@ -22,7 +22,8 @@
 //     processes -- 10k transactions at ~26% injected faults with
 //     shards killed at random journal offsets and restarted mid-run,
 //     client-side accepts == cluster-side settles, zero
-//     double-execution.
+//     double-execution. Attestation keys moved by a durable handoff
+//     come back from their new owner's log when every member restarts.
 //
 // Probabilistic members honour TP_CHAOS_SEED (CI randomizes it; the
 // seed is printed so any failure is replayable).
@@ -51,20 +52,22 @@
 #include "store/shard_state.h"
 #include "store/storage_backend.h"
 #include "svc/verifier_service.h"
+#include "sp_frames.h"
 
 namespace tp {
 namespace {
 
 using core::MsgType;
 using core::TxChallenge;
-using core::TxConfirm;
-using core::TxResult;
-using core::TxSubmit;
 using core::Verdict;
 using store::CrashInjected;
 using store::DurableLog;
 using store::DurableLogConfig;
 using store::MemoryBackend;
+using test::challenge_tx_id;
+using test::confirm_frame;
+using test::result_accepted;
+using test::submit_frame;
 
 std::uint64_t chaos_seed() {
   static const std::uint64_t seed = [] {
@@ -76,38 +79,6 @@ std::uint64_t chaos_seed() {
     return s;
   }();
   return seed;
-}
-
-Bytes submit_frame(const std::string& client, const std::string& summary) {
-  TxSubmit submit;
-  submit.client_id = client;
-  submit.summary = summary;
-  submit.payload = bytes_of("payload:" + summary);
-  return core::envelope(MsgType::kTxSubmit, submit.serialize());
-}
-
-Bytes confirm_frame(const std::string& client, std::uint64_t tx_id,
-                    Verdict verdict = Verdict::kConfirmed) {
-  TxConfirm confirm;
-  confirm.client_id = client;
-  confirm.tx_id = tx_id;
-  confirm.verdict = verdict;
-  return core::envelope(MsgType::kTxConfirm, confirm.serialize());
-}
-
-std::uint64_t challenge_tx_id(BytesView response) {
-  auto opened = core::open_envelope(response);
-  EXPECT_TRUE(opened.ok());
-  auto challenge = TxChallenge::deserialize(opened.value().second);
-  EXPECT_TRUE(challenge.ok());
-  return challenge.ok() ? challenge.value().tx_id : 0;
-}
-
-bool result_accepted(BytesView response) {
-  auto opened = core::open_envelope(response);
-  if (!opened.ok() || opened.value().first != MsgType::kTxResult) return false;
-  auto result = TxResult::deserialize(opened.value().second);
-  return result.ok() && result.value().accepted;
 }
 
 /// Test double over a MemoryBackend: counts append_journal calls, can
@@ -229,22 +200,6 @@ void strip_session_secrets(store::ShardState& state) {
   }
 }
 
-/// Canonical bytes of a HandoffBundle (minus source_now, same
-/// normalization as state_fingerprint).
-Bytes bundle_fingerprint(sp::HandoffBundle bundle) {
-  store::ShardState state;
-  state.enroll_sessions = std::move(bundle.enroll_sessions);
-  state.tx_sessions = std::move(bundle.tx_sessions);
-  for (auto& [id, context] : bundle.enrolled) {
-    state.enrolled.push_back({id, context.key().serialize()});
-  }
-  state.replay_digests = bundle.replay_digests;
-  for (const auto& row : bundle.dedup) {
-    state.dedup.push_back({row.client, row.digest, row.tx_id});
-  }
-  return store::serialize_shard_state(state);
-}
-
 // -------------------------------------------------- restore equivalence
 
 /// Randomized raw-frame workload against a durable SP: fresh submits,
@@ -340,16 +295,10 @@ TEST(RestoreEquivalence, CleanKillRestoreMatchesThePreCrashSp) {
     const auto everything = [](const proto::SessionTable::Key&) {
       return true;
     };
-    const auto stripped = [](sp::HandoffBundle bundle) {
-      store::ShardState state;
-      state.enroll_sessions = std::move(bundle.enroll_sessions);
-      state.tx_sessions = std::move(bundle.tx_sessions);
+    const auto stripped = [](store::ShardState state) {
+      state.source_now_ns = 0;
       strip_session_secrets(state);
-      Bytes sessions = store::serialize_shard_state(state);
-      bundle.enroll_sessions.clear();
-      bundle.tx_sessions.clear();
-      Bytes rest = bundle_fingerprint(std::move(bundle));
-      return concat(sessions, rest);
+      return store::serialize_shard_state(state);
     };
     EXPECT_EQ(stripped(sp_b.extract_for_handoff(everything)),
               stripped(sp_a.extract_for_handoff(everything)))
@@ -507,8 +456,8 @@ TEST(RestoreEquivalence, EnrollmentSurvivesCrashAndNewTransactionsVerify) {
   fleet.route_frames_to([&sp_b](const std::string&, BytesView frame) {
     return sp_b.handle_frame(frame);
   });
-  EXPECT_EQ(sp_b.stats_snapshot().enrolled, fleet.size());
-  EXPECT_EQ(sp_b.stats_snapshot().tx_accepted, 1u);
+  EXPECT_EQ(sp_b.stats().enrolled, fleet.size());
+  EXPECT_EQ(sp_b.stats().tx_accepted, 1u);
 
   // Fresh transactions from both clients verify against recovered keys
   // (and the reseeded nonce stream issues challenges that still work).
@@ -521,22 +470,10 @@ TEST(RestoreEquivalence, EnrollmentSurvivesCrashAndNewTransactionsVerify) {
                               << outcome.error().message;
     EXPECT_TRUE(outcome.value().accepted) << fleet.client_id(i);
   }
-  EXPECT_EQ(sp_b.stats_snapshot().tx_accepted, 1u + fleet.size());
+  EXPECT_EQ(sp_b.stats().tx_accepted, 1u + fleet.size());
 }
 
 // ----------------------------------------------------------- svc layer
-
-TEST(CrashedService, DurableConfigRequiresASingleWorker) {
-  MemoryBackend backend;
-  DurableLogConfig lc;
-  lc.backend = &backend;
-  DurableLog log(lc);
-  svc::SvcConfig config;
-  config.num_workers = 4;
-  config.sp.require_trusted_path = false;
-  config.sp.durable = &log;
-  EXPECT_THROW(svc::VerifierService{config}, std::invalid_argument);
-}
 
 TEST(CrashedService, InjectedCrashFlipsToShutdownAndSuccessorReplays) {
   MemoryBackend backend;
@@ -544,7 +481,6 @@ TEST(CrashedService, InjectedCrashFlipsToShutdownAndSuccessorReplays) {
   lc.backend = &backend;
 
   svc::SvcConfig config;
-  config.num_workers = 1;
   config.sp.require_trusted_path = false;
 
   DurableLog log_a(lc);
@@ -556,10 +492,10 @@ TEST(CrashedService, InjectedCrashFlipsToShutdownAndSuccessorReplays) {
     service.start();
     EXPECT_FALSE(service.crashed());
     const std::string id = "svc-crash-client";
-    const auto challenge = service.call(id, submit_frame(id, "pay 1"));
+    const auto challenge = service.call(submit_frame(id, "pay 1"));
     ASSERT_EQ(challenge.status, svc::SvcStatus::kOk);
     confirm = confirm_frame(id, challenge_tx_id(challenge.frame));
-    const auto settled = service.call(id, confirm);
+    const auto settled = service.call(confirm);
     ASSERT_EQ(settled.status, svc::SvcStatus::kOk);
     ASSERT_TRUE(result_accepted(settled.frame));
     settled_reply = settled.frame;
@@ -568,10 +504,10 @@ TEST(CrashedService, InjectedCrashFlipsToShutdownAndSuccessorReplays) {
     // never acked), the service latches crashed mode, and everything
     // after is refused without touching the poisoned SP.
     backend.crash_at_bytes(backend.appended_total() + 7);
-    const auto dead = service.call(id, submit_frame(id, "pay 2"));
+    const auto dead = service.call(submit_frame(id, "pay 2"));
     EXPECT_EQ(dead.status, svc::SvcStatus::kShutdown);
     EXPECT_TRUE(service.crashed());
-    EXPECT_EQ(service.call(id, submit_frame(id, "pay 3")).status,
+    EXPECT_EQ(service.call(submit_frame(id, "pay 3")).status,
               svc::SvcStatus::kShutdown);
     service.drain();
   }
@@ -585,14 +521,12 @@ TEST(CrashedService, InjectedCrashFlipsToShutdownAndSuccessorReplays) {
   svc::VerifierService successor(config);
   successor.start();
   EXPECT_FALSE(successor.crashed());
-  const auto replay = successor.call("svc-crash-client", confirm);
+  const auto replay = successor.call(confirm);
   ASSERT_EQ(replay.status, svc::SvcStatus::kOk);
   EXPECT_EQ(replay.frame, settled_reply);
   EXPECT_EQ(successor.stats().tx_accepted, 1u);  // replayed, not re-run
 
-  const auto retry =
-      successor.call("svc-crash-client", submit_frame("svc-crash-client",
-                                                      "pay 2"));
+  const auto retry = successor.call(submit_frame("svc-crash-client", "pay 2"));
   EXPECT_EQ(retry.status, svc::SvcStatus::kOk);
   successor.drain();
 }
@@ -608,7 +542,6 @@ TEST(CrashedService, StorageIoErrorFailsTheBatchAndTheProcessSurvives) {
   lc.backend = &backend;
 
   svc::SvcConfig config;
-  config.num_workers = 1;
   config.sp.require_trusted_path = false;
 
   DurableLog log_a(lc);
@@ -618,22 +551,22 @@ TEST(CrashedService, StorageIoErrorFailsTheBatchAndTheProcessSurvives) {
   {
     svc::VerifierService service(config);
     service.start();
-    const auto challenge = service.call(id, submit_frame(id, "pay 1"));
+    const auto challenge = service.call(submit_frame(id, "pay 1"));
     ASSERT_EQ(challenge.status, svc::SvcStatus::kOk);
     confirm = confirm_frame(id, challenge_tx_id(challenge.frame));
 
     backend.set_failing(true);
     std::vector<std::future<svc::SvcResponse>> replies;
-    replies.push_back(service.submit(id, confirm));
+    replies.push_back(service.submit(confirm));
     for (int i = 2; i < 6; ++i) {
       replies.push_back(
-          service.submit(id, submit_frame(id, "pay " + std::to_string(i))));
+          service.submit(submit_frame(id, "pay " + std::to_string(i))));
     }
     for (auto& reply : replies) {
       EXPECT_EQ(reply.get().status, svc::SvcStatus::kShutdown);
     }
     EXPECT_TRUE(service.crashed());
-    EXPECT_EQ(service.call(id, confirm).status, svc::SvcStatus::kShutdown);
+    EXPECT_EQ(service.call(confirm).status, svc::SvcStatus::kShutdown);
     service.drain();
   }
 
@@ -644,7 +577,7 @@ TEST(CrashedService, StorageIoErrorFailsTheBatchAndTheProcessSurvives) {
   config.sp.durable = &log_b;
   svc::VerifierService successor(config);
   successor.start();
-  const auto settled = successor.call(id, confirm);
+  const auto settled = successor.call(confirm);
   ASSERT_EQ(settled.status, svc::SvcStatus::kOk);
   EXPECT_TRUE(result_accepted(settled.frame));
   EXPECT_EQ(successor.stats().tx_accepted, 1u);
@@ -832,9 +765,9 @@ TEST(GroupCommit, TornBatchFailsEveryReplyAndRetransmitsSettleOnce) {
   // two confirms are durable (though never acked); the torn third is not.
   cluster.restart_shard(0);
   obs::Registry& metrics = cluster.shard_service(0).metrics();
-  EXPECT_EQ(metrics.counter("sp.shard0.recovery.replayed_records").value(),
+  EXPECT_EQ(metrics.counter("sp.recovery.replayed_records").value(),
             records_before + 2);
-  EXPECT_EQ(metrics.counter("sp.shard0.recovery.truncated_tail").value(),
+  EXPECT_EQ(metrics.counter("sp.recovery.truncated_tail").value(),
             settle_bytes / 2);
   EXPECT_EQ(cluster.stats().tx_accepted, acked_accepts + 2);
 
@@ -901,6 +834,85 @@ TEST(CrashChaos, RestartPreservesAcceptCountsAcrossGenerations) {
         << "generation " << generation << " post-restart";
   }
   EXPECT_EQ(cluster.shard_restarts(), 4u);
+  cluster.drain();
+}
+
+TEST(CrashChaos, EnrolledKeysSurviveAHandoffAndARestartOfEveryShard) {
+  // Attestation keys that moved in a durable handoff must come back from
+  // their new owner's own log: a mixed TPM 1.2/2.0 fleet enrolls and
+  // confirms, a shard joins (the cluster checkpoints every member after
+  // the move), then every member is rebuilt from its snapshot + journal.
+  // Each client must still confirm -- verified against the key its
+  // current owner recovered -- and the books must balance: every client
+  // enrolled exactly once, every acked accept counted exactly once.
+  sp::FleetConfig fleet_config;
+  fleet_config.num_clients = 8;
+  fleet_config.seed = bytes_of("crash-handoff");
+  fleet_config.tpm_key_bits = 768;
+  fleet_config.client_key_bits = 768;
+  fleet_config.backend_mix = {tpm::QuoteFormat::kTpm12,
+                              tpm::QuoteFormat::kTpm2};
+  sp::Fleet fleet(fleet_config);
+
+  cluster::ClusterConfig cc;
+  cc.num_shards = 2;
+  cc.svc.sp = fleet.sp_config();
+  cc.durable_backend_factory = [](std::uint32_t) {
+    return std::make_unique<MemoryBackend>();
+  };
+  cluster::VerifierCluster cluster(cc);
+  cluster.start();
+  fleet.route_frames_to([&cluster](const std::string& id, BytesView frame) {
+    return cluster.call(id, frame).frame;
+  });
+
+  std::vector<std::unique_ptr<pal::HumanAgent>> users;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    auto agent = std::make_unique<pal::HumanAgent>(
+        devices::HumanModel(devices::HumanParams{}, SimRng(7100 + i)), "");
+    fleet.client(i).set_user_agent(agent.get());
+    users.push_back(std::move(agent));
+  }
+  ASSERT_EQ(fleet.enroll_all(), fleet.size());
+
+  std::uint64_t accepts = 0;
+  const auto confirm_everyone = [&](const std::string& when) {
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      const std::string summary = "pay " + when + " " + std::to_string(i);
+      users[i]->set_intended_summary(summary);
+      auto outcome =
+          fleet.client(i).submit_transaction(summary, bytes_of(summary));
+      ASSERT_TRUE(outcome.ok()) << fleet.client_id(i) << " " << when << ": "
+                                << outcome.error().message;
+      ASSERT_TRUE(outcome.value().accepted) << fleet.client_id(i) << " "
+                                            << when;
+      ++accepts;
+    }
+  };
+  const auto expect_books = [&](const std::string& when) {
+    const sp::SpStats stats = cluster.stats();
+    EXPECT_EQ(stats.enrolled, fleet.size()) << when;
+    EXPECT_EQ(stats.tx_accepted, accepts) << when;
+    std::size_t resident = 0;
+    for (const std::uint32_t id : cluster.shard_ids()) {
+      resident += cluster.shard_sp(id).enrolled_count();
+    }
+    EXPECT_EQ(resident, fleet.size()) << when;
+  };
+
+  confirm_everyone("before the join");
+  cluster.add_shard();
+  ASSERT_GT(cluster.remapped_keys(), 0u);
+  expect_books("after the join");
+
+  const std::vector<std::uint32_t> ids = cluster.shard_ids();
+  for (const std::uint32_t id : ids) cluster.restart_shard(id);
+  EXPECT_EQ(cluster.shard_restarts(), ids.size());
+  expect_books("after every restart");
+
+  confirm_everyone("after every restart");
+  EXPECT_EQ(accepts, 2 * fleet.size());
+  expect_books("at the end");
   cluster.drain();
 }
 

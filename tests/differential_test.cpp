@@ -2,7 +2,7 @@
 //
 // The core/shell refactor (proto::SpCore driving a thin ServiceProvider
 // shell) promises byte-identical frame handling. This suite pins that
-// promise three ways:
+// promise two ways:
 //
 //   1. A deterministic corpus of protocol traffic -- clean exchanges,
 //      byte-identical retransmits, replayed signatures, cross-client
@@ -17,9 +17,8 @@
 //      constant below IS the pre-refactor twin: any post-refactor
 //      behaviour drift -- one byte, one reject code, one nonce -- breaks
 //      the fingerprint.
-//   3. The same corpus runs under the direct-call API where a message
-//      counterpart exists, asserting the collapsed entry points cannot
-//      drift from the frame path.
+// handle_frame and handle_frame_batch are the SP's only entry points, so
+// these two replays cover every way a message can reach it.
 #include <gtest/gtest.h>
 
 #include <cstdio>

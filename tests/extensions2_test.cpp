@@ -8,6 +8,7 @@
 #include "pal/session.h"
 #include "sp/deployment.h"
 #include "sp/fleet.h"
+#include "sp_frames.h"
 
 namespace tp {
 namespace {
@@ -74,7 +75,7 @@ TEST(FleetTest, OneMembersKeyUselessToAnother) {
   pal::HumanAgent agent(devices::HumanModel(perfect_human(), SimRng(9)),
                         "theft");
   core::TxSubmit submit{fleet.client_id(1), "theft", bytes_of("p")};
-  const auto challenge = fleet.sp().begin_transaction(submit);
+  const auto challenge = test::begin_transaction(fleet.sp(), submit);
   core::PalConfirmInput in;
   in.tx_summary = "theft";
   in.tx_digest = submit.digest();

@@ -10,6 +10,7 @@
 #include "pal/sealed_state.h"
 #include "pal/session.h"
 #include "sp/deployment.h"
+#include "sp_frames.h"
 
 namespace tp {
 namespace {
@@ -116,7 +117,7 @@ TEST(IntelTxt, SpRejectsWrongSinitChain) {
   drtm::Platform rogue(pc);
 
   const auto challenge =
-      world.sp().begin_enrollment(core::EnrollBegin{"txt-evil"});
+      test::begin_enrollment(world.sp(), core::EnrollBegin{"txt-evil"});
   core::PalEnrollInput in;
   in.nonce = challenge.nonce;
   in.key_bits = 768;
@@ -133,7 +134,7 @@ TEST(IntelTxt, SpRejectsWrongSinitChain) {
   msg.quote = out.value().quote;
   msg.aik_certificate =
       world.ca().certify("txt-evil", rogue.tpm().aik_public()).serialize();
-  EXPECT_FALSE(world.sp().complete_enrollment(msg).accepted);
+  EXPECT_FALSE(test::complete_enrollment(world.sp(), msg).accepted);
 }
 
 TEST(IntelTxt, SealedKeyDoesNotCrossTechnologies) {
@@ -236,7 +237,7 @@ TEST_F(BatchTest, SignaturesAreItemSpecific) {
   std::vector<std::uint64_t> tx_ids;
   for (const auto& [summary, payload] : txs) {
     core::TxSubmit submit{"batcher", summary, payload};
-    auto challenge = world_.sp().begin_transaction(submit);
+    auto challenge = test::begin_transaction(world_.sp(), submit);
     pal_input.items.push_back(
         core::BatchItem{summary, submit.digest(), challenge.nonce});
     tx_ids.push_back(challenge.tx_id);
@@ -259,7 +260,7 @@ TEST_F(BatchTest, SignaturesAreItemSpecific) {
     confirm.tx_id = tx_ids[i];
     confirm.verdict = Verdict::kConfirmed;
     confirm.signature = out.value().signatures[1 - i];  // the swap
-    EXPECT_FALSE(world_.sp().complete_transaction(confirm).accepted);
+    EXPECT_FALSE(test::complete_transaction(world_.sp(), confirm).accepted);
   }
 }
 
@@ -517,13 +518,13 @@ TEST(SpBaselineMode, NoDefenseExecutesAnything) {
   sp::ServiceProvider sp(cfg);
 
   const core::TxSubmit submit{"anyone", "drain the account", bytes_of("x")};
-  const auto challenge = sp.begin_transaction(submit);
+  const auto challenge = test::begin_transaction(sp, submit);
   core::TxConfirm confirm;
   confirm.client_id = "anyone";
   confirm.tx_id = challenge.tx_id;
   confirm.verdict = Verdict::kConfirmed;
   confirm.signature = Bytes(8, 0);  // garbage
-  EXPECT_TRUE(sp.complete_transaction(confirm).accepted);
+  EXPECT_TRUE(test::complete_transaction(sp, confirm).accepted);
   EXPECT_EQ(sp.stats().tx_accepted, 1u);
 }
 

@@ -15,6 +15,7 @@
 #include "pal/human_agent.h"
 #include "proto/session_table.h"
 #include "sp/deployment.h"
+#include "sp_frames.h"
 #include "store/journal.h"
 #include "store/shard_state.h"
 #include "tpm/quote.h"
@@ -181,7 +182,7 @@ TEST(Fuzz, MutatedConfirmationsNeverAccepted) {
   driver.set_user_agent(&agent);
   auto mint_frame = [&]() -> Bytes {
     core::TxSubmit submit{"victim", "pay 1", bytes_of("p")};
-    const auto challenge = world.sp().begin_transaction(submit);
+    const auto challenge = test::begin_transaction(world.sp(), submit);
     core::PalConfirmInput in;
     in.tx_summary = "pay 1";
     in.tx_digest = submit.digest();

@@ -10,6 +10,7 @@
 #include "pal/human_agent.h"
 #include "sp/deployment.h"
 #include "sp/replay_cache.h"
+#include "sp_frames.h"
 
 namespace tp::sp {
 namespace {
@@ -99,12 +100,14 @@ TEST(SpReplayBound, MemoryBoundedAndWindowedReplayStillRejected) {
   // Drive 3x the cache capacity of genuine confirmations through the SP,
   // capturing each accepted TxConfirm for replay attempts.
   std::vector<core::TxConfirm> accepted;
+  Bytes last_frame;
+  Bytes last_reply;
   for (int i = 0; i < 24; ++i) {
     const std::string summary = "pay " + std::to_string(i);
     agent.set_intended_summary(summary);
 
     core::TxSubmit submit{"alice", summary, bytes_of("p")};
-    const auto challenge = world.sp().begin_transaction(submit);
+    const auto challenge = test::begin_transaction(world.sp(), submit);
     core::PalConfirmInput in;
     in.tx_summary = summary;
     in.tx_digest = submit.digest();
@@ -120,7 +123,9 @@ TEST(SpReplayBound, MemoryBoundedAndWindowedReplayStillRejected) {
     core::TxConfirm confirm{"alice", challenge.tx_id,
                             core::Verdict::kConfirmed,
                             out.value().signature};
-    ASSERT_TRUE(world.sp().complete_transaction(confirm).accepted);
+    last_frame = core::envelope(core::MsgType::kTxConfirm, confirm.serialize());
+    last_reply = world.sp().handle_frame(last_frame);
+    ASSERT_TRUE(test::result_accepted(last_reply));
     accepted.push_back(confirm);
 
     // The cache never outgrows its configured bound.
@@ -128,12 +133,21 @@ TEST(SpReplayBound, MemoryBoundedAndWindowedReplayStillRejected) {
   }
   EXPECT_EQ(world.sp().replay_cache_memory_bytes(), memory_before);
 
-  // Straight replays of settled confirmations are all rejected: recent
-  // ones may hit either defence layer, and even signatures the cache has
-  // evicted die at the one-shot challenge map.
+  // A byte-identical retransmit of a confirmation whose session is still
+  // held for idempotent replay is answered from the response cache: the
+  // same bytes, and no second accept.
+  EXPECT_EQ(world.sp().handle_frame(last_frame), last_reply);
+  EXPECT_EQ(world.sp().stats().tx_accepted, accepted.size());
+
+  // Once the hold window has passed, straight replays of settled
+  // confirmations are all rejected: recent ones may hit either defence
+  // layer, and even signatures the cache has evicted die at the one-shot
+  // challenge map.
+  world.clock().advance(cfg.session_ttl + SimDuration::seconds(1));
   for (const auto& confirm : accepted) {
-    EXPECT_FALSE(world.sp().complete_transaction(confirm).accepted);
+    EXPECT_FALSE(test::complete_transaction(world.sp(), confirm).accepted);
   }
+  EXPECT_EQ(world.sp().stats().tx_accepted, accepted.size());
 
   // Eviction must never re-admit a signature that is still inside the
   // pending-tx window: open a fresh challenge and present each of the 8
@@ -141,11 +155,11 @@ TEST(SpReplayBound, MemoryBoundedAndWindowedReplayStillRejected) {
   // cache must fire before signature verification even runs.
   for (std::size_t i = accepted.size() - 8; i < accepted.size(); ++i) {
     core::TxSubmit submit{"alice", "forged", bytes_of("p")};
-    const auto challenge = world.sp().begin_transaction(submit);
+    const auto challenge = test::begin_transaction(world.sp(), submit);
     core::TxConfirm replay{"alice", challenge.tx_id,
                            core::Verdict::kConfirmed,
                            accepted[i].signature};
-    EXPECT_FALSE(world.sp().complete_transaction(replay).accepted);
+    EXPECT_FALSE(test::complete_transaction(world.sp(), replay).accepted);
   }
   EXPECT_GE(world.sp().stats().rejects(proto::RejectCode::kReplayedSignature),
             8u);

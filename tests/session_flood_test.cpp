@@ -9,6 +9,7 @@
 
 #include "core/trusted_path_pal.h"
 #include "sp/service_provider.h"
+#include "sp_frames.h"
 
 namespace tp::sp {
 namespace {
@@ -25,15 +26,16 @@ SpConfig flood_config() {
 }
 
 TEST(SessionFlood, MillionEnrollBeginsFromOneClientStayFlat) {
-  // One client re-beginning forever recycles a single slot: no growth,
-  // no evictions, memory byte-for-byte constant.
+  // One client re-beginning forever holds a single slot (each identical
+  // EnrollBegin is answered from the live challenge's cached reply): no
+  // growth, no evictions, memory byte-for-byte constant.
   ServiceProvider sp(flood_config());
-  sp.begin_enrollment(core::EnrollBegin{"alice"});
+  test::begin_enrollment(sp, core::EnrollBegin{"alice"});
   const std::size_t flat = sp.session_table_memory_bytes();
   ASSERT_GT(flat, 0u);
 
   for (int i = 0; i < 1'000'000; ++i) {
-    sp.begin_enrollment(core::EnrollBegin{"alice"});
+    test::begin_enrollment(sp, core::EnrollBegin{"alice"});
     if (i % 65536 == 0) {
       ASSERT_EQ(sp.session_table_memory_bytes(), flat) << "iteration " << i;
     }
@@ -45,14 +47,14 @@ TEST(SessionFlood, MillionEnrollBeginsFromOneClientStayFlat) {
 
 TEST(SessionFlood, MillionEnrollBeginsFromDistinctClientsStayBounded) {
   // Distinct forged client ids exercise the eviction path instead of the
-  // recycle path: occupancy saturates at capacity and old half-open
+  // single slot: occupancy saturates at capacity and old half-open
   // sessions are shed, still with zero allocation churn.
   ServiceProvider sp(flood_config());
-  sp.begin_enrollment(core::EnrollBegin{"probe"});
+  test::begin_enrollment(sp, core::EnrollBegin{"probe"});
   const std::size_t flat = sp.session_table_memory_bytes();
 
   for (int i = 0; i < 1'000'000; ++i) {
-    sp.begin_enrollment(core::EnrollBegin{"bot-" + std::to_string(i)});
+    test::begin_enrollment(sp, core::EnrollBegin{"bot-" + std::to_string(i)});
     if (i % 65536 == 0) {
       ASSERT_EQ(sp.session_table_memory_bytes(), flat) << "iteration " << i;
       ASSERT_LE(sp.session_table_occupancy(), 512u);
@@ -68,12 +70,12 @@ TEST(SessionFlood, TxSubmitFloodStaysBounded) {
   // The confirmation side has the same shape (tx_id-keyed sessions), so
   // a submit flood must be equally harmless.
   ServiceProvider sp(flood_config());
-  sp.begin_transaction(core::TxSubmit{"alice", "pay 0", bytes_of("p")});
+  test::begin_transaction(sp, core::TxSubmit{"alice", "pay 0", bytes_of("p")});
   const std::size_t flat = sp.session_table_memory_bytes();
 
   for (int i = 0; i < 100'000; ++i) {
-    sp.begin_transaction(
-        core::TxSubmit{"alice", "pay " + std::to_string(i), bytes_of("p")});
+    test::begin_transaction(
+        sp, core::TxSubmit{"alice", "pay " + std::to_string(i), bytes_of("p")});
     ASSERT_LE(sp.session_table_occupancy(), 512u);
   }
   EXPECT_EQ(sp.session_table_memory_bytes(), flat);

@@ -1,4 +1,5 @@
-// Concurrent verifier service: queue, router, sharded serving runtime.
+// Concurrent verifier service: the bounded queue and the one-SP serving
+// runtime (sharding across services is the cluster's, see cluster_test).
 //
 // These tests are labelled `concurrency` in CTest; run them under TSan via
 //   cmake -B build-tsan -DTP_SANITIZE=thread && cmake --build build-tsan
@@ -18,17 +19,13 @@
 
 #include "core/messages.h"
 #include "svc/bounded_queue.h"
-#include "svc/shard_router.h"
 
 namespace tp::svc {
 namespace {
 
-using core::EnrollBegin;
 using core::MsgType;
 using core::TxChallenge;
-using core::TxConfirm;
 using core::TxSubmit;
-using core::Verdict;
 
 Bytes tx_submit_frame(const std::string& client_id, std::uint64_t i) {
   TxSubmit submit{client_id, "pay " + std::to_string(i), Bytes(32, 7)};
@@ -127,77 +124,33 @@ TEST(BoundedQueue, MpmcStressNoLossNoDuplication) {
   }
 }
 
-// ---- ShardRouter -------------------------------------------------------
-
-TEST(ShardRouter, StableInRangeAndSpreads) {
-  ShardRouter router(4);
-  std::set<std::size_t> used;
-  for (int i = 0; i < 64; ++i) {
-    const std::string id = "client-" + std::to_string(i);
-    const std::size_t shard = router.shard_for(id);
-    EXPECT_LT(shard, 4u);
-    EXPECT_EQ(shard, router.shard_for(id));  // deterministic
-    used.insert(shard);
-  }
-  EXPECT_EQ(used.size(), 4u);  // 64 ids reach every shard
-}
-
-TEST(ShardRouter, ZeroShardsClampsToOne) {
-  ShardRouter router(0);
-  EXPECT_EQ(router.num_shards(), 1u);
-  EXPECT_EQ(router.shard_for("anyone"), 0u);
-}
-
-TEST(ShardRouter, PeeksClientIdOutOfFrames) {
-  const auto submit = tx_submit_frame("alice", 1);
-  ASSERT_TRUE(ShardRouter::client_id_of(submit).ok());
-  EXPECT_EQ(ShardRouter::client_id_of(submit).value(), "alice");
-
-  const auto enroll =
-      core::envelope(MsgType::kEnrollBegin, EnrollBegin{"bob"}.serialize());
-  EXPECT_EQ(ShardRouter::client_id_of(enroll).value(), "bob");
-
-  const Bytes garbage{0xff, 0x00, 0x01};
-  EXPECT_FALSE(ShardRouter::client_id_of(garbage).ok());
-  const auto challenge =
-      core::envelope(MsgType::kTxChallenge, TxChallenge{1, {}}.serialize());
-  EXPECT_FALSE(ShardRouter::client_id_of(challenge).ok());
-}
-
 // ---- VerifierService ---------------------------------------------------
 
-SvcConfig small_config(std::size_t workers, std::size_t depth = 64) {
+SvcConfig small_config(std::size_t depth = 64) {
   SvcConfig config;
-  config.num_workers = workers;
   config.queue_depth = depth;
   return config;
 }
 
 TEST(VerifierService, RejectsUnusableConfigAtConstruction) {
-  // "No workers" and "no queue" are bugs in the caller's config, not
-  // values to silently repair: the constructor must throw, before any
-  // thread or queue exists.
+  // "No queue" is a bug in the caller's config, not a value to silently
+  // repair: the constructor must throw, before any thread or queue
+  // exists.
   EXPECT_THROW(VerifierService{small_config(0)}, std::invalid_argument);
-  EXPECT_THROW(VerifierService{small_config(2, 0)}, std::invalid_argument);
   try {
     VerifierService service(small_config(0));
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("num_workers"), std::string::npos);
-  }
-  try {
-    VerifierService service(small_config(2, 0));
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("queue_depth"), std::string::npos);
   }
 }
 
 TEST(VerifierService, ServesFramesOnAllShards) {
-  VerifierService service(small_config(4));
+  VerifierService service(small_config());
   service.start();
   for (int i = 0; i < 32; ++i) {
     const std::string id = "client-" + std::to_string(i);
     const SvcResponse response =
-        service.call(id, tx_submit_frame(id, static_cast<std::uint64_t>(i)));
+        service.call(tx_submit_frame(id, static_cast<std::uint64_t>(i)));
     ASSERT_EQ(response.status, SvcStatus::kOk);
     auto opened = core::open_envelope(response.frame);
     ASSERT_TRUE(opened.ok());
@@ -208,38 +161,35 @@ TEST(VerifierService, ServesFramesOnAllShards) {
 }
 
 TEST(VerifierService, NotStartedRespondsShutdownInsteadOfDeadlocking) {
-  VerifierService service(small_config(2));
-  EXPECT_EQ(service.call("alice", tx_submit_frame("alice", 1)).status,
+  VerifierService service(small_config());
+  EXPECT_EQ(service.call(tx_submit_frame("alice", 1)).status,
             SvcStatus::kShutdown);
 }
 
-// The ISSUE's router/shard stress: >= 4 producer threads, >= 10k requests,
-// every request answered exactly once with a shard-consistent challenge.
+// Multi-producer stress: >= 4 producer threads, >= 10k requests, every
+// request answered exactly once with its own challenge.
 TEST(VerifierService, MultiProducerStressNoLostOrDuplicatedResponses) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 2500;  // 10k total
-  constexpr std::size_t kShards = 4;
-  VerifierService service(small_config(kShards, /*depth=*/128));
+  VerifierService service(small_config(/*depth=*/128));
   service.start();
 
   std::mutex mu;
-  std::set<std::pair<std::size_t, std::uint64_t>> challenge_ids;
+  std::set<std::uint64_t> challenge_ids;
   std::atomic<std::uint64_t> ok_count{0};
 
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
-      // Each producer talks for a disjoint set of clients, but all
-      // clients of all producers share the same four shards.
+      // Each producer talks for a disjoint set of clients, all queued
+      // for the one SP.
       std::vector<std::future<SvcResponse>> pending;
       pending.reserve(kPerProducer);
-      std::vector<std::string> ids;
       for (int i = 0; i < kPerProducer; ++i) {
         const std::string id =
             "stress-" + std::to_string(p) + "-" + std::to_string(i % 8);
-        ids.push_back(id);
-        pending.push_back(service.submit(
-            id, tx_submit_frame(id, static_cast<std::uint64_t>(i))));
+        pending.push_back(
+            service.submit(tx_submit_frame(id, static_cast<std::uint64_t>(i))));
       }
       for (std::size_t i = 0; i < pending.size(); ++i) {
         SvcResponse response = pending[i].get();
@@ -250,13 +200,8 @@ TEST(VerifierService, MultiProducerStressNoLostOrDuplicatedResponses) {
         ASSERT_TRUE(challenge.ok());
         ok_count.fetch_add(1);
         std::lock_guard<std::mutex> lock(mu);
-        // (shard, tx_id) is unique iff no request was double-served.
-        const bool inserted =
-            challenge_ids
-                .emplace(service.shard_for(ids[i]),
-                         challenge.value().tx_id)
-                .second;
-        ASSERT_TRUE(inserted);
+        // The tx id is unique iff no request was double-served.
+        ASSERT_TRUE(challenge_ids.insert(challenge.value().tx_id).second);
       }
     });
   }
@@ -273,15 +218,15 @@ TEST(VerifierService, MultiProducerStressNoLostOrDuplicatedResponses) {
 }
 
 TEST(VerifierService, ExpiredDeadlineIsRejectedWithoutServing) {
-  VerifierService service(small_config(1));
+  VerifierService service(small_config());
   service.start();
   auto expired = service.submit(
-      "alice", tx_submit_frame("alice", 1),
+      tx_submit_frame("alice", 1),
       std::chrono::steady_clock::now() - std::chrono::milliseconds(5));
   EXPECT_EQ(expired.get().status, SvcStatus::kDeadlineExpired);
 
   auto alive = service.submit(
-      "alice", tx_submit_frame("alice", 2),
+      tx_submit_frame("alice", 2),
       std::chrono::steady_clock::now() + std::chrono::seconds(30));
   EXPECT_EQ(alive.get().status, SvcStatus::kOk);
   service.drain();
@@ -290,17 +235,15 @@ TEST(VerifierService, ExpiredDeadlineIsRejectedWithoutServing) {
 }
 
 TEST(VerifierService, DefaultDeadlineAppliesToSubmit) {
-  SvcConfig config = small_config(1, /*depth=*/4);
+  SvcConfig config = small_config(/*depth=*/4);
   config.default_deadline = std::chrono::milliseconds(1);
   VerifierService service(std::move(config));
   service.start();
-  // Saturate the single worker so later requests out-wait the 1ms budget.
+  // Saturate the worker so later requests out-wait the 1ms budget.
   std::vector<std::future<SvcResponse>> pending;
   for (int i = 0; i < 200; ++i) {
-    pending.push_back(
-        service.submit("one-client",
-                       tx_submit_frame("one-client",
-                                       static_cast<std::uint64_t>(i))));
+    pending.push_back(service.submit(
+        tx_submit_frame("one-client", static_cast<std::uint64_t>(i))));
   }
   std::size_t expired = 0;
   for (auto& f : pending) {
@@ -312,15 +255,14 @@ TEST(VerifierService, DefaultDeadlineAppliesToSubmit) {
 }
 
 TEST(VerifierService, TrySubmitReportsQueueFull) {
-  VerifierService service(small_config(1, /*depth=*/2));
-  // Workers not started: the queue can only fill up.
+  VerifierService service(small_config(/*depth=*/2));
   service.start();
   // Stall the worker with a burst, then try_submit until one bounces.
   bool saw_full = false;
   std::vector<std::future<SvcResponse>> pending;
   for (int i = 0; i < 5000 && !saw_full; ++i) {
     auto f = service.try_submit(
-        "alice", tx_submit_frame("alice", static_cast<std::uint64_t>(i)));
+        tx_submit_frame("alice", static_cast<std::uint64_t>(i)));
     if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
       auto response = f.get();
       if (response.status == SvcStatus::kQueueFull) saw_full = true;
@@ -338,7 +280,7 @@ TEST(VerifierService, TrySubmitReportsQueueFull) {
 // once, as either a served response or an explicit shutdown rejection.
 TEST(VerifierService, DrainDuringLoadResolvesEveryRequest) {
   constexpr int kProducers = 4;
-  VerifierService service(small_config(2, /*depth=*/32));
+  VerifierService service(small_config(/*depth=*/32));
   service.start();
 
   std::atomic<std::uint64_t> ok{0}, shutdown{0}, other{0};
@@ -350,7 +292,7 @@ TEST(VerifierService, DrainDuringLoadResolvesEveryRequest) {
       std::uint64_t i = 0;
       while (!stop.load(std::memory_order_acquire)) {
         const std::string id = "drain-" + std::to_string(p);
-        auto future = service.submit(id, tx_submit_frame(id, i++));
+        auto future = service.submit(tx_submit_frame(id, i++));
         submitted.fetch_add(1);
         switch (future.get().status) {
           case SvcStatus::kOk: ok.fetch_add(1); break;
@@ -374,12 +316,12 @@ TEST(VerifierService, DrainDuringLoadResolvesEveryRequest) {
 }
 
 TEST(VerifierService, ShutdownNowFailsQueuedWorkButResolvesFutures) {
-  VerifierService service(small_config(1, /*depth=*/512));
+  VerifierService service(small_config(/*depth=*/512));
   service.start();
   std::vector<std::future<SvcResponse>> pending;
   for (int i = 0; i < 300; ++i) {
     pending.push_back(service.submit(
-        "burst", tx_submit_frame("burst", static_cast<std::uint64_t>(i))));
+        tx_submit_frame("burst", static_cast<std::uint64_t>(i))));
   }
   service.shutdown_now();
   std::uint64_t resolved = 0;
@@ -389,35 +331,6 @@ TEST(VerifierService, ShutdownNowFailsQueuedWorkButResolvesFutures) {
     ++resolved;
   }
   EXPECT_EQ(resolved, 300u);
-}
-
-TEST(VerifierService, AggregatesProtocolStatsAcrossShards) {
-  VerifierService service(small_config(4));
-  service.start();
-  // Confirmations for transactions nobody submitted: every shard rejects.
-  for (int i = 0; i < 20; ++i) {
-    const std::string id = "ghost-" + std::to_string(i);
-    TxConfirm confirm;
-    confirm.client_id = id;
-    confirm.tx_id = 9000 + static_cast<std::uint64_t>(i);
-    confirm.verdict = Verdict::kConfirmed;
-    const SvcResponse response = service.call(
-        id, core::envelope(MsgType::kTxConfirm, confirm.serialize()));
-    ASSERT_EQ(response.status, SvcStatus::kOk);
-  }
-  service.drain();
-  const sp::SpStats stats = service.stats();
-  EXPECT_EQ(stats.tx_rejected, 20u);
-  EXPECT_EQ(stats.tx_accepted, 0u);
-  EXPECT_EQ(stats.rejects(proto::RejectCode::kUnknownTx), 20u);
-  // More than one shard actually saw traffic.
-  std::size_t shards_with_traffic = 0;
-  for (std::size_t i = 0; i < service.num_shards(); ++i) {
-    if (service.shard_sp(i).stats_snapshot().tx_rejected > 0) {
-      ++shards_with_traffic;
-    }
-  }
-  EXPECT_GT(shards_with_traffic, 1u);
 }
 
 }  // namespace
