@@ -200,7 +200,8 @@ void BM_ModExpSmallExponent(benchmark::State& state) {
 BENCHMARK(BM_ModExpSmallExponent)->Arg(0)->Arg(1);
 
 // P-256 per-key window table (p256::WindowTable): the precompute every
-// TPM 2.0 enrollment pays once, and the warm verify it buys.
+// TPM 2.0 enrollment pays once beside its one-shot quote check, and the
+// warm verify it buys.
 const EcdsaPrivateKey& p256_key() {
   static const EcdsaPrivateKey key = ecdsa_generate(entropy("p256"));
   return key;
@@ -223,6 +224,19 @@ void BM_P256WindowTable(benchmark::State& state) {
                  " B per key");
 }
 BENCHMARK(BM_P256WindowTable)->Unit(benchmark::kMicrosecond);
+
+void BM_EcdsaVerifyOneShot(benchmark::State& state) {
+  // The TPM 2.0 enrollment's quote check: ecdsa_verify with no per-key
+  // table, once per enrollment.
+  const EcdsaPublicKey pk = p256_key().public_key();
+  const Bytes msg = bytes_of("quote attest body");
+  const Bytes sig = ecdsa_sign(p256_key(), msg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ecdsa_verify(pk, msg, sig));
+  }
+  state.SetLabel("one-shot, no per-key table");
+}
+BENCHMARK(BM_EcdsaVerifyOneShot)->Unit(benchmark::kMicrosecond);
 
 void BM_EcdsaVerifyCtx(benchmark::State& state) {
   // Warm: one key's table stays in cache across iterations.

@@ -2,7 +2,8 @@
 # run arms shard 0 to die at a journal offset past the enrollment
 # records: the daemon must restart the shard from its journal mid-run and
 # still confirm every transaction. The second run starts over the same
-# directory and must replay what the first one left.
+# directory, must replay what the first one left, and must count each
+# of its clients once although they enroll again.
 #
 # Usage: cmake -DDAEMON=<verifier_daemon> -DJOURNAL_DIR=<dir> -P <this file>
 file(REMOVE_RECURSE "${JOURNAL_DIR}")
@@ -31,4 +32,9 @@ if(NOT second_rc EQUAL 0)
 endif()
 if(NOT second_out MATCHES "shard0: replayed [1-9]")
   message(FATAL_ERROR "restart run replayed nothing from ${JOURNAL_DIR}")
+endif()
+# The second run's clients enroll again over the recovered ones; the
+# totals count the 4 clients once each.
+if(NOT second_out MATCHES "protocol totals across shards:\n  enrolled=4 ")
+  message(FATAL_ERROR "restart run did not count 4 enrolled clients")
 endif()

@@ -290,7 +290,7 @@ BigInt BigInt::mod_mul(const BigInt& a, const BigInt& b, const BigInt& m) {
 }
 
 MontgomeryCtx::MontgomeryCtx(const BigInt& m)
-    : m_(m), n_((m.bit_length() + 63) / 64) {
+    : n_((m.bit_length() + 63) / 64) {
   if (m.is_even() || m < BigInt(3)) {
     throw std::domain_error("MontgomeryCtx: modulus must be odd and >= 3");
   }
@@ -307,14 +307,26 @@ MontgomeryCtx::MontgomeryCtx(const BigInt& m)
   n0inv_ = ~inv + 1;  // negate mod 2^64
 
   // R^2 mod m where R = 2^(64 n).
-  const BigInt r = (BigInt(1) << (64 * n_)) % m_;
+  const BigInt r = (BigInt(1) << (64 * n_)) % m;
   r2_.resize(n_);
-  pack_limbs64((r * r) % m_, r2_.data(), n_);
+  pack_limbs64((r * r) % m, r2_.data(), n_);
+}
+
+BigInt MontgomeryCtx::modulus() const { return to_bigint(m64_.data()); }
+
+bool MontgomeryCtx::below_modulus(const BigInt& v) const {
+  const auto& l = v.limbs();
+  if (l.size() > 2 * n_) return false;
+  Limb w[kMaxLimbs];
+  pack_limbs64(v, w, n_);
+  for (std::size_t i = n_; i-- > 0;) {
+    if (w[i] != m64_[i]) return w[i] < m64_[i];
+  }
+  return false;
 }
 
 std::size_t MontgomeryCtx::memory_bytes() const {
-  return m_.limbs().size() * sizeof(std::uint32_t) +
-         (m64_.size() + r2_.size()) * sizeof(Limb);
+  return (m64_.size() + r2_.size()) * sizeof(Limb);
 }
 
 void MontgomeryCtx::mul(const Limb* a, const Limb* b, Limb* out) const {
@@ -358,7 +370,7 @@ void MontgomeryCtx::mul(const Limb* a, const Limb* b, Limb* out) const {
 }
 
 void MontgomeryCtx::to_mont(const BigInt& v, Limb* out) const {
-  pack_limbs64(v % m_, out, n_);
+  pack_limbs64(v, out, n_);
   mul(out, r2_.data(), out);
 }
 
@@ -366,10 +378,14 @@ BigInt MontgomeryCtx::from_mont(const Limb* a) const {
   Limb one[kMaxLimbs] = {1};
   Limb plain[kMaxLimbs] = {};
   mul(a, one, plain);
+  return to_bigint(plain);
+}
+
+BigInt MontgomeryCtx::to_bigint(const Limb* a) const {
   std::vector<std::uint32_t> limbs(2 * n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    limbs[2 * i] = static_cast<std::uint32_t>(plain[i]);
-    limbs[2 * i + 1] = static_cast<std::uint32_t>(plain[i] >> 32);
+    limbs[2 * i] = static_cast<std::uint32_t>(a[i]);
+    limbs[2 * i + 1] = static_cast<std::uint32_t>(a[i] >> 32);
   }
   return BigInt::from_limbs(std::move(limbs));
 }
@@ -416,6 +432,7 @@ BigInt MontgomeryCtx::pow_windowed(const Limb* base_mont,
 
 BigInt MontgomeryCtx::mod_exp(const BigInt& base, const BigInt& exp) const {
   if (exp.is_zero()) return BigInt(1);
+  if (!below_modulus(base)) return mod_exp(base % modulus(), exp);
   Limb base_mont[kMaxLimbs] = {};
   to_mont(base, base_mont);
   return exp.bit_length() <= kSmallExpBits ? pow_small(base_mont, exp)
@@ -425,6 +442,7 @@ BigInt MontgomeryCtx::mod_exp(const BigInt& base, const BigInt& exp) const {
 BigInt MontgomeryCtx::mod_exp_windowed(const BigInt& base,
                                        const BigInt& exp) const {
   if (exp.is_zero()) return BigInt(1);
+  if (!below_modulus(base)) return mod_exp_windowed(base % modulus(), exp);
   Limb base_mont[kMaxLimbs] = {};
   to_mont(base, base_mont);
   return pow_windowed(base_mont, exp);

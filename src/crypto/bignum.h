@@ -128,35 +128,42 @@ class MontgomeryCtx {
   /// bits long.
   explicit MontgomeryCtx(const BigInt& m);
 
-  const BigInt& modulus() const { return m_; }
+  /// The modulus, rebuilt from the limbs (the context keeps one copy).
+  BigInt modulus() const;
+
+  /// v < m, compared limb by limb without allocating.
+  bool below_modulus(const BigInt& v) const;
 
   /// base^exp mod m. Auto-selects: plain square-and-multiply when
   /// exp.bit_length() <= kSmallExpBits, 4-bit fixed windows otherwise.
+  /// A base at or above m is reduced first, by a division that callers
+  /// holding a reduced base (RSA verify, BigInt::mod_exp) never pay.
   BigInt mod_exp(const BigInt& base, const BigInt& exp) const;
 
   /// The 4-bit windowed path unconditionally (exposed so tests and
   /// benches can compare it against the small-exponent path).
   BigInt mod_exp_windowed(const BigInt& base, const BigInt& exp) const;
 
-  /// Heap bytes this context owns (the modulus, in both limb widths, and
-  /// R^2 mod m), for per-client memory accounting.
+  /// Heap bytes this context owns (the modulus and R^2 mod m), for
+  /// per-client memory accounting.
   std::size_t memory_bytes() const;
 
  private:
   static constexpr std::size_t kMaxLimbs = kMaxBits / 64;
   using Limb = std::uint64_t;
 
-  /// out = v mod m as n_ limbs, multiplied into Montgomery form.
+  /// v * R mod m as n_ limbs (Montgomery form); v must be below m.
   void to_mont(const BigInt& v, Limb* out) const;
   /// a * R^{-1} mod m back to a BigInt (leaves Montgomery form).
   BigInt from_mont(const Limb* a) const;
+  /// n_ limbs as a BigInt.
+  BigInt to_bigint(const Limb* a) const;
   /// Montgomery product out = a * b * R^{-1} mod m over n_ limbs; out
   /// may alias a or b.
   void mul(const Limb* a, const Limb* b, Limb* out) const;
   BigInt pow_small(const Limb* base_mont, const BigInt& exp) const;
   BigInt pow_windowed(const Limb* base_mont, const BigInt& exp) const;
 
-  BigInt m_;
   std::size_t n_;          // 64-bit limb count of m
   Limb n0inv_;             // -m^{-1} mod 2^64
   std::vector<Limb> m64_;  // m as n_ 64-bit limbs

@@ -51,6 +51,16 @@ std::optional<ParsedSignature> parse_signature(BytesView signature) {
   return out;
 }
 
+/// The verify equation's scalars u1 = e/s and u2 = r/s (mod n). s is
+/// public, so the variable-time inversion is safe (and much cheaper than
+/// the Fermat ladder signing uses for the secret nonce).
+std::pair<U256, U256> verify_scalars(BytesView message,
+                                     const ParsedSignature& sig) {
+  const U256 e = digest_to_scalar(Sha256::hash(message));
+  const U256 w = p256::inv_mod_n_vartime(sig.s);
+  return {p256::mul_mod_n(e, w), p256::mul_mod_n(sig.r, w)};
+}
+
 std::optional<p256::AffinePoint> key_to_point(const EcdsaPublicKey& key) {
   if (key.x.size() != p256::kFieldSize || key.y.size() != p256::kFieldSize) {
     return std::nullopt;
@@ -159,19 +169,8 @@ Status ecdsa_verify(const EcdsaPublicKey& key, BytesView message,
   if (!sig) return malformed("ecdsa_verify: malformed signature");
   const auto q = key_to_point(key);
   if (!q) return malformed("ecdsa_verify: invalid public key");
-  const U256 e = digest_to_scalar(Sha256::hash(message));
-  // s is public here, so the variable-time inversion is safe (and much
-  // cheaper than the Fermat ladder signing uses for the secret nonce).
-  const U256 w = p256::inv_mod_n_vartime(sig->s);
-  const U256 u1 = p256::mul_mod_n(e, w);
-  const U256 u2 = p256::mul_mod_n(sig->r, w);
-  // Reference path: two independent scalar multiplications and a full
-  // affine conversion. Slow but structurally unlike the table walk in
-  // EcdsaVerifyContext, which the differential fuzz tests exploit.
-  const p256::AffinePoint sum = p256::point_add(
-      p256::scalar_mul(p256::generator(), u1), p256::scalar_mul(*q, u2));
-  if (sum.infinity) return malformed("ecdsa_verify: signature mismatch");
-  if (!(p256::reduce_mod_n(sum.x) == sig->r)) {
+  const auto [u1, u2] = verify_scalars(message, *sig);
+  if (!p256::verify_r_match(*q, u1, u2, sig->r)) {
     return malformed("ecdsa_verify: signature mismatch");
   }
   return Status();
@@ -191,10 +190,7 @@ Status EcdsaVerifyContext::verify(BytesView message,
   if (!table_) return malformed("EcdsaVerifyContext: invalid public key");
   const auto sig = parse_signature(signature);
   if (!sig) return malformed("EcdsaVerifyContext: malformed signature");
-  const U256 e = digest_to_scalar(Sha256::hash(message));
-  const U256 w = p256::inv_mod_n_vartime(sig->s);  // s is public
-  const U256 u1 = p256::mul_mod_n(e, w);
-  const U256 u2 = p256::mul_mod_n(sig->r, w);
+  const auto [u1, u2] = verify_scalars(message, *sig);
   if (!p256::verify_r_match(*table_, u1, u2, sig->r)) {
     return malformed("EcdsaVerifyContext: signature mismatch");
   }

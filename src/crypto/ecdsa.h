@@ -8,11 +8,12 @@
 // message -> same signature) and never depends on an external entropy
 // source being good at signing time.
 //
-// Verification has the same two tiers as RSA: a stateless ecdsa_verify
-// (simple double-and-add; the correctness baseline) and a cached
-// EcdsaVerifyContext that precomputes window tables for the public key
-// and shares the generator table -- the SP's hot loop, several times
-// faster than RSA-2048 verification (EXPERIMENTS.md F9).
+// Verification has the same two tiers as RSA: a one-shot ecdsa_verify
+// (the TPM 2.0 enrollment's quote check: the shared generator table for
+// u1*G and a windowed Horner walk for u2*Q) and a cached
+// EcdsaVerifyContext that precomputes a window table for the public key
+// -- the SP's hot loop, several times faster than RSA-2048 verification
+// (EXPERIMENTS.md F9).
 #pragma once
 
 #include <functional>
@@ -73,16 +74,17 @@ Bytes ecdsa_sign(const EcdsaPrivateKey& key, BytesView message);
 Result<Bytes> ecdsa_sign_digest_with_k(const EcdsaPrivateKey& key,
                                        BytesView digest, BytesView k);
 
-/// Verifies r||s over SHA-256(message). Malformed inputs and value
+/// Verifies r||s over SHA-256(message) with no per-key precompute
+/// (p256::verify_r_match on the affine key). Malformed inputs and value
 /// mismatches both report kAuthFail (mirroring rsa_verify).
 Status ecdsa_verify(const EcdsaPublicKey& key, BytesView message,
                     BytesView signature);
 
-/// Per-key verification context: precomputes a fixed-base window table
-/// for the public point (p256::WindowTable, 60 KiB, built once per
+/// Per-key verification context: precomputes a signed-digit window table
+/// for the public point (p256::WindowTable, 32 KiB, built once per
 /// enrollment) so each verify walks at most 22 + 64 = 86 table entries
-/// -- the shared generator comb plus the per-key table -- as mixed point
-/// additions with no doublings and no final field inversion.
+/// -- the shared generator table plus the per-key table -- as mixed
+/// point additions with no doublings and no final field inversion.
 /// Verdict-identical to ecdsa_verify.
 ///
 /// Immutable after construction; safe to share across threads.

@@ -1,32 +1,14 @@
 #include "crypto/p256.h"
 
-#include <array>
+#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 namespace tp::crypto::p256 {
 namespace {
 
 using u64 = std::uint64_t;
-
-// 128-bit product of two 64-bit limbs. The compiler lowers the __int128
-// form to a single MUL on x86-64/aarch64; the fallback keeps 32-bit-only
-// targets working.
-inline void mul64(u64 a, u64 b, u64& lo, u64& hi) {
-#ifdef __SIZEOF_INT128__
-  const unsigned __int128 t = static_cast<unsigned __int128>(a) * b;
-  lo = static_cast<u64>(t);
-  hi = static_cast<u64>(t >> 64);
-#else
-  const u64 a0 = a & 0xffffffffu, a1 = a >> 32;
-  const u64 b0 = b & 0xffffffffu, b1 = b >> 32;
-  const u64 p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0, p11 = a1 * b1;
-  const u64 mid = p10 + (p00 >> 32);
-  const u64 mid2 = (mid & 0xffffffffu) + p01;
-  hi = p11 + (mid >> 32) + (mid2 >> 32);
-  lo = (mid2 << 32) | (p00 & 0xffffffffu);
-#endif
-}
 
 inline u64 add4(u64 out[4], const u64 a[4], const u64 b[4]) {
   u64 carry = 0;
@@ -96,7 +78,6 @@ inline void mod_sub(const Mont& m, const u64 a[4], const u64 b[4],
 // accumulator is interleaved with the reduction, so the intermediate
 // never exceeds 5 limbs + 1 bit; one conditional subtract at the end
 // brings the result below the modulus.
-#ifdef __SIZEOF_INT128__
 void mont_mul(const Mont& m, const u64 a[4], const u64 b[4], u64 out[4]) {
   // The double-wide accumulator form: each u128 sum a[i]*b[j] + t + carry
   // is at most (2^64-1)^2 + 2*(2^64-1) = 2^128 - 1, so no overflow; the
@@ -137,48 +118,6 @@ void mont_mul(const Mont& m, const u64 a[4], const u64 b[4], u64 out[4]) {
   if (t[4] || geq4(t, m.mod)) sub4(t, t, m.mod);
   copy4(out, t);
 }
-#else
-void mont_mul(const Mont& m, const u64 a[4], const u64 b[4], u64 out[4]) {
-  u64 t[6] = {0, 0, 0, 0, 0, 0};
-  for (int i = 0; i < 4; ++i) {
-    u64 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      u64 lo, hi;
-      mul64(a[i], b[j], lo, hi);
-      const u64 s = t[j] + lo;
-      const u64 c1 = (s < lo) ? 1u : 0u;
-      const u64 s2 = s + carry;
-      const u64 c2 = (s2 < carry) ? 1u : 0u;
-      t[j] = s2;
-      carry = hi + c1 + c2;  // <= 2^64-1: total sum fits in 128 bits
-    }
-    u64 s = t[4] + carry;
-    t[5] += (s < carry) ? 1u : 0u;
-    t[4] = s;
-
-    const u64 mi = t[0] * m.n0;
-    u64 lo, hi;
-    mul64(mi, m.mod[0], lo, hi);
-    const u64 s0 = t[0] + lo;  // == 0 mod 2^64 by choice of mi
-    carry = hi + ((s0 < lo) ? 1u : 0u);
-    for (int j = 1; j < 4; ++j) {
-      mul64(mi, m.mod[j], lo, hi);
-      const u64 s1 = t[j] + lo;
-      const u64 c1 = (s1 < lo) ? 1u : 0u;
-      const u64 s2 = s1 + carry;
-      const u64 c2 = (s2 < carry) ? 1u : 0u;
-      t[j - 1] = s2;
-      carry = hi + c1 + c2;
-    }
-    const u64 s4 = t[4] + carry;
-    t[3] = s4;
-    t[4] = t[5] + ((s4 < carry) ? 1u : 0u);
-    t[5] = 0;
-  }
-  if (t[4] || geq4(t, m.mod)) sub4(t, t, m.mod);
-  copy4(out, t);
-}
-#endif
 
 inline void to_mont(const Mont& m, const u64 a[4], u64 out[4]) {
   mont_mul(m, a, m.rr, out);
@@ -249,7 +188,6 @@ const Mont& mont_n() {
   return m;
 }
 
-#ifdef __SIZEOF_INT128__
 // Dedicated Montgomery multiplication for the field prime
 //   p = 2^256 - 2^224 + 2^192 + 2^96 - 1
 //     = [2^64-1, 2^32-1, 0, 2^64-2^32+1] in little-endian limbs.
@@ -391,15 +329,6 @@ __attribute__((always_inline)) inline void mont_sqr_p(const u64 a[4],
   if (t4 || geq4(t, kP)) sub4(t, t, kP);
   copy4(out, t);
 }
-#else
-// 32-bit-only targets: fall back to the generic CIOS path.
-inline void mont_mul_p(const u64 a[4], const u64 b[4], u64 out[4]) {
-  mont_mul(mont_p(), a, b, out);
-}
-inline void mont_sqr_p(const u64 a[4], u64 out[4]) {
-  mont_mul(mont_p(), a, a, out);
-}
-#endif
 
 /// Jacobian point, Montgomery-form coordinates; z == 0 is infinity.
 struct JacPt {
@@ -500,7 +429,7 @@ void pt_add_affine(const JacPt& p, const AffPt& q, JacPt& out) {
   copy4(out.z, z3);
 }
 
-// General Jacobian + Jacobian addition (table construction only).
+// General Jacobian + Jacobian addition (the reference point_add only).
 void pt_add(const JacPt& p, const JacPt& q, JacPt& out) {
   const Mont& m = mont_p();
   if (is_zero4(p.z)) {
@@ -574,111 +503,108 @@ AffinePoint jac_to_plain_affine(const JacPt& p) {
   return out;
 }
 
-/// Scalar bits [4j, 4j + 4): the per-key table's window digit.
-inline unsigned window_digit4(const U256& k, int j) {
-  return static_cast<unsigned>(k.w[j / 16] >> ((j % 16) * 4)) & 0xFu;
-}
-
-/// Scalar bits [12j, 12j + 12), handling windows that straddle a limb
-/// boundary. The top window (j = 21) covers only bits 252..255.
-inline unsigned window_digit12(const U256& k, int j) {
-  const int bit = j * 12;
-  const int limb = bit >> 6;
-  const int off = bit & 63;
-  u64 v = k.w[limb] >> off;
-  if (off > 52 && limb < 3) v |= k.w[limb + 1] << (64 - off);
-  return static_cast<unsigned>(v) & 0xFFFu;
-}
-
 /// Batch-convert Jacobian points to affine Montgomery form with a single
 /// field inversion (Montgomery's trick over all z coordinates). No input
-/// may be the point at infinity.
+/// may be the point at infinity. The forward pass parks each running
+/// product in out[i].x, which the backward pass reads before it writes
+/// the coordinate, so the trick needs no scratch array.
 void batch_normalize(const JacPt* in, std::size_t count, AffPt* out) {
-  const Mont& m = mont_p();
-  std::vector<std::array<u64, 4>> prefix(count);
   u64 acc[4];
-  copy4(acc, m.one);
+  copy4(acc, mont_p().one);
   for (std::size_t i = 0; i < count; ++i) {
-    copy4(prefix[i].data(), acc);
-    mont_mul(m, acc, in[i].z, acc);
+    copy4(out[i].x, acc);
+    mont_mul_p(acc, in[i].z, acc);
   }
   u64 inv_all[4];
-  mont_inv(m, acc, inv_all);
+  mont_inv(mont_p(), acc, inv_all);
   for (std::size_t i = count; i-- > 0;) {
     u64 zinv[4], zinv2[4], zinv3[4];
-    mont_mul(m, inv_all, prefix[i].data(), zinv);
-    mont_mul(m, inv_all, in[i].z, inv_all);
-    mont_mul(m, zinv, zinv, zinv2);
-    mont_mul(m, zinv2, zinv, zinv3);
-    mont_mul(m, in[i].x, zinv2, out[i].x);
-    mont_mul(m, in[i].y, zinv3, out[i].y);
+    mont_mul_p(inv_all, out[i].x, zinv);
+    mont_mul_p(inv_all, in[i].z, inv_all);
+    mont_sqr_p(zinv, zinv2);
+    mont_mul_p(zinv2, zinv, zinv3);
+    mont_mul_p(in[i].x, zinv2, out[i].x);
+    mont_mul_p(in[i].y, zinv3, out[i].y);
   }
 }
 
-// Fixed-base comb for the generator. G is one public point shared by
-// every signer and verifier in the process, so unlike the per-key
-// WindowTable its precompute can be traded aggressively for walk length:
-// 12-bit windows mean ceil(256/12) = 22 mixed additions for k*G instead
-// of the 4-bit table's 64. Row j holds d * 4096^j * G for d in 1..4095
-// (window 21 covers only scalar bits 252..255, so its row has just 15
-// entries); ~5.5 MiB total, built lazily on first use.
-struct G12Comb {
-  static constexpr int kWindows = 22;
-  static constexpr unsigned kRowLen = 4095;     // full rows (j < 21)
-  static constexpr unsigned kTopRowLen = 15;    // bits 252..255
-  std::vector<AffPt> pts;  // flattened, uniform stride kRowLen
-  const AffPt* row(int j) const { return pts.data() + kRowLen * static_cast<std::size_t>(j); }
-};
+// ---- signed-digit fixed windows ----------------------------------------
 
-const G12Comb& g12_comb() {
-  static const G12Comb comb = [] {
-    // Window bases 4096^j * G by repeated doubling (12 doublings per
-    // window), batch-normalized so every table entry is a mixed add.
-    const Mont& m = mont_p();
-    std::vector<JacPt> bases(G12Comb::kWindows);
-    bases[0] = jac_from_plain_affine(generator());
-    for (int j = 1; j < G12Comb::kWindows; ++j) {
-      JacPt t = bases[static_cast<std::size_t>(j - 1)];
-      for (int i = 0; i < 12; ++i) pt_double(t, t);
-      bases[static_cast<std::size_t>(j)] = t;
-    }
-    std::vector<AffPt> base_aff(G12Comb::kWindows);
-    batch_normalize(bases.data(), bases.size(), base_aff.data());
-    const std::size_t count =
-        static_cast<std::size_t>(G12Comb::kWindows - 1) * G12Comb::kRowLen +
-        G12Comb::kTopRowLen;
-    std::vector<JacPt> jac(count);
-    std::size_t idx = 0;
-    for (int j = 0; j < G12Comb::kWindows; ++j) {
-      const unsigned len =
-          (j == G12Comb::kWindows - 1) ? G12Comb::kTopRowLen : G12Comb::kRowLen;
-      const AffPt& wb = base_aff[static_cast<std::size_t>(j)];
-      JacPt acc;
-      copy4(acc.x, wb.x);
-      copy4(acc.y, wb.y);
-      copy4(acc.z, m.one);
-      for (unsigned d = 0; d < len; ++d) {
-        jac[idx++] = acc;
-        pt_add_affine(acc, wb, acc);
-      }
-    }
-    G12Comb g;
-    // Uniform stride keeps row() branch-free; the top row's tail is
-    // simply never indexed (digits there are < 16).
-    g.pts.resize(static_cast<std::size_t>(G12Comb::kWindows) * G12Comb::kRowLen);
-    idx = 0;
-    std::vector<AffPt> flat(count);
-    batch_normalize(jac.data(), count, flat.data());
-    for (int j = 0; j < G12Comb::kWindows; ++j) {
-      const unsigned len =
-          (j == G12Comb::kWindows - 1) ? G12Comb::kTopRowLen : G12Comb::kRowLen;
-      for (unsigned d = 0; d < len; ++d) {
-        g.pts[G12Comb::kRowLen * static_cast<std::size_t>(j) + d] = flat[idx++];
-      }
-    }
-    return g;
-  }();
-  return comb;
+/// Windows of a w-bit recoding, ceil(256 / w): enough for a scalar folded
+/// below 2^255 plus its last carry.
+constexpr int windows_of(int w) { return (256 + w - 1) / w; }
+constexpr int kMaxWindows = windows_of(4);  // the narrowest width in use
+
+/// Scalar bits [bit, bit + w), zero above bit 255.
+inline int bits_at(const u64 k[4], int bit, int w) {
+  const int limb = bit >> 6;
+  const int off = bit & 63;
+  u64 v = k[limb] >> off;
+  if (off + w > 64 && limb < 3) v |= k[limb + 1] << (64 - off);
+  return static_cast<int>(v & ((u64{1} << w) - 1));
+}
+
+/// Recodes k mod n into windows_of(w) signed w-bit digits, least
+/// significant first: k*B = sum_j digit[j] * 2^(wj) * B, each digit in
+/// [-(2^(w-1) - 1), 2^(w-1)]. A scalar at or above 2^255 is first folded
+/// to n - k and every digit's sign flipped (k*B = -((n - k)*B)), so the
+/// top window's bits stay below 2^(w-1) and no carry leaves it.
+void recode_signed(const U256& k, int w, int digit[kMaxWindows]) {
+  u64 v[4];
+  copy4(v, k.w);
+  if (geq4(v, kN)) sub4(v, v, kN);
+  const bool negate = (v[3] >> 63) != 0;
+  if (negate) sub4(v, kN, v);
+  const int half = 1 << (w - 1);
+  int carry = 0;
+  for (int j = 0; j < windows_of(w); ++j) {
+    int d = bits_at(v, j * w, w) + carry;
+    carry = d > half ? 1 : 0;
+    d -= carry << w;
+    digit[j] = negate ? -d : d;
+  }
+}
+
+/// row[d - 1] = d * b for d = 1..len: the base, one doubling, then mixed
+/// additions of the base.
+void build_row(const AffPt& b, int len, JacPt* row) {
+  copy4(row[0].x, b.x);
+  copy4(row[0].y, b.y);
+  copy4(row[0].z, mont_p().one);
+  pt_double(row[0], row[1]);
+  for (int d = 2; d < len; ++d) pt_add_affine(row[d - 1], b, row[d]);
+}
+
+/// acc += d * b for a signed digit d, where row[i] = (i + 1) * b: a
+/// negative digit adds the entry's negation (x, p - y).
+inline void add_signed(JacPt& acc, const AffPt* row, int d) {
+  if (d > 0) {
+    pt_add_affine(acc, row[d - 1], acc);
+  } else if (d < 0) {
+    AffPt neg = row[-d - 1];
+    sub4(neg.y, kP, neg.y);
+    pt_add_affine(acc, neg, acc);
+  }
+}
+
+/// x(R) mod n == r for R = acc, false at infinity. Compares X against
+/// r~ * Z^2 for r~ in {r, r + n} with r~ < p: the projective form skips
+/// the field inversion that would otherwise dominate a verify.
+bool r_matches(const JacPt& acc, const U256& r) {
+  if (is_zero4(acc.z)) return false;
+  const Mont& m = mont_p();
+  u64 zz[4], rm[4], cand[4];
+  mont_sqr_p(acc.z, zz);
+  to_mont(m, r.w, rm);
+  mont_mul_p(rm, zz, cand);
+  if (eq4(cand, acc.x)) return true;
+  u64 rn[4];
+  if (add4(rn, r.w, kN) == 0 && !geq4(rn, kP)) {
+    to_mont(m, rn, rm);
+    mont_mul_p(rm, zz, cand);
+    if (eq4(cand, acc.x)) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -761,7 +687,6 @@ U256 inv_mod_n(const U256& a) {
   return out;
 }
 
-#ifdef __SIZEOF_INT128__
 namespace {
 
 // ---- Bernstein-Yang division-step inversion mod n ----------------------
@@ -981,13 +906,6 @@ U256 inv_mod_n_vartime(const U256& a) {
   }
   return out;
 }
-#else
-U256 inv_mod_n_vartime(const U256& a) {
-  // Targets without __int128: the constant-time Fermat ladder is merely
-  // slower, never wrong.
-  return inv_mod_n(a);
-}
-#endif
 
 const AffinePoint& generator() {
   static const AffinePoint g = [] {
@@ -1044,27 +962,68 @@ AffinePoint point_add(const AffinePoint& a, const AffinePoint& b) {
 }
 
 struct WindowTable::Impl {
-  // pts[j][d] = (d + 1) * 16^j * base, affine Montgomery form.
-  AffPt pts[WindowTable::kWindows][WindowTable::kRowLen];
+  int w = 0;
+  std::vector<AffPt> pts;  // row j at pts[j * 2^(w-1)]: d * 2^(wj) * base
+
+  const AffPt* row(int j) const {
+    return pts.data() + (static_cast<std::size_t>(j) << (w - 1));
+  }
+
+  /// Loads every entry a walk over `digit` will touch. The walk is a
+  /// serial dependency chain, so issuing the loads up front hides a cold
+  /// table's cache misses behind the arithmetic.
+  void prefetch(const int digit[]) const {
+    for (int j = 0; j < windows_of(w); ++j) {
+      if (digit[j] != 0) __builtin_prefetch(&row(j)[std::abs(digit[j]) - 1]);
+    }
+  }
+
+  /// acc += k * base for k's digits: one mixed addition per non-zero
+  /// digit and no doublings.
+  void add(JacPt& acc, const int digit[]) const {
+    for (int j = 0; j < windows_of(w); ++j) add_signed(acc, row(j), digit[j]);
+  }
 };
 
-WindowTable::WindowTable(const AffinePoint& base) : impl_(new Impl) {
-  // Walk multiples with general adds only: row entry d is (d+1) * wb and
-  // one further add yields 16 * wb, the next window's base. No
-  // doublings anywhere in the construction.
-  std::vector<JacPt> jac(kWindows * kRowLen);
-  JacPt window_base = jac_from_plain_affine(base);
-  for (int j = 0; j < kWindows; ++j) {
-    JacPt t = window_base;
-    for (int d = 0; d < kRowLen; ++d) {
-      jac[static_cast<std::size_t>(j * kRowLen + d)] = t;
-      pt_add(t, window_base, t);
-    }
-    window_base = t;
+namespace {
+
+/// The generator's 12-bit table, shared by every caller in the process
+/// and built on first use.
+const WindowTable& generator_table() {
+  static const WindowTable table(generator(),
+                                 WindowTable::kGeneratorWindowBits);
+  return table;
+}
+
+}  // namespace
+
+WindowTable::WindowTable(const AffinePoint& base, int window_bits)
+    : impl_(new Impl) {
+  if (window_bits < kKeyWindowBits || window_bits > kGeneratorWindowBits) {
+    throw std::invalid_argument("WindowTable: window_bits out of range");
   }
-  // Batch-normalize to affine with a single field inversion (Montgomery
-  // trick over all 960 z coordinates).
-  batch_normalize(jac.data(), jac.size(), &impl_->pts[0][0]);
+  const int rows = windows_of(window_bits);
+  const int row_len = 1 << (window_bits - 1);
+  const std::size_t count = static_cast<std::size_t>(rows) * row_len;
+  // Window bases 2^(wj) * base by w doublings each, normalized together
+  // so that every row below is built from an affine base.
+  std::vector<JacPt> jac(count);
+  jac[0] = jac_from_plain_affine(base);
+  for (int j = 1; j < rows; ++j) {
+    jac[j] = jac[j - 1];
+    for (int i = 0; i < window_bits; ++i) pt_double(jac[j], jac[j]);
+  }
+  std::vector<AffPt> bases(static_cast<std::size_t>(rows));
+  batch_normalize(jac.data(), bases.size(), bases.data());
+  // The rows overwrite the Jacobian bases; one batch normalization (one
+  // field inversion) then serves the whole table.
+  for (int j = 0; j < rows; ++j) {
+    build_row(bases[static_cast<std::size_t>(j)], row_len,
+              &jac[static_cast<std::size_t>(j) * row_len]);
+  }
+  impl_->w = window_bits;
+  impl_->pts.resize(count);
+  batch_normalize(jac.data(), count, impl_->pts.data());
 }
 
 WindowTable::~WindowTable() = default;
@@ -1072,67 +1031,61 @@ WindowTable::WindowTable(WindowTable&&) noexcept = default;
 WindowTable& WindowTable::operator=(WindowTable&&) noexcept = default;
 
 AffinePoint table_scalar_mul(const WindowTable& table, const U256& k) {
+  int digit[kMaxWindows];
+  recode_signed(k, table.impl_->w, digit);
   JacPt acc = jac_infinity();
-  for (int j = 0; j < WindowTable::kWindows; ++j) {
-    const unsigned d = window_digit4(k, j);
-    if (d) pt_add_affine(acc, table.impl_->pts[j][d - 1], acc);
-  }
+  table.impl_->add(acc, digit);
   return jac_to_plain_affine(acc);
 }
 
 AffinePoint scalar_mul_base(const U256& k) {
-  const G12Comb& g = g12_comb();
-  JacPt acc = jac_infinity();
-  for (int j = 0; j < G12Comb::kWindows; ++j) {
-    const unsigned d = window_digit12(k, j);
-    if (d) pt_add_affine(acc, g.row(j)[d - 1], acc);
-  }
-  return jac_to_plain_affine(acc);
+  return table_scalar_mul(generator_table(), k);
 }
 
 bool verify_r_match(const WindowTable& q_table, const U256& u1,
                     const U256& u2, const U256& r) {
-  const G12Comb& g = g12_comb();
-  // Every table entry the walk will touch is known up front, and the
-  // walk itself is a serial dependency chain -- issuing the loads now
-  // hides the cache misses of the two tables behind the arithmetic.
-  for (int j = 0; j < G12Comb::kWindows; ++j) {
-    const unsigned d1 = window_digit12(u1, j);
-    if (d1) __builtin_prefetch(&g.row(j)[d1 - 1]);
-  }
-  for (int j = 0; j < WindowTable::kWindows; ++j) {
-    const unsigned d2 = window_digit4(u2, j);
-    if (d2) __builtin_prefetch(&q_table.impl_->pts[j][d2 - 1]);
-  }
-  // u1*G through the wide shared comb (<= 22 adds), u2*Q through the
-  // per-key table (<= 64 adds); order is irrelevant, both fold into one
-  // accumulator.
+  const WindowTable::Impl& g = *generator_table().impl_;
+  const WindowTable::Impl& q = *q_table.impl_;
+  int d1[kMaxWindows], d2[kMaxWindows];
+  recode_signed(u1, g.w, d1);
+  recode_signed(u2, q.w, d2);
+  g.prefetch(d1);
+  q.prefetch(d2);
+  // u1*G through the shared generator table (<= 22 additions), u2*Q
+  // through the per-key table (<= 64); both fold into one accumulator.
   JacPt acc = jac_infinity();
-  for (int j = 0; j < G12Comb::kWindows; ++j) {
-    const unsigned d1 = window_digit12(u1, j);
-    if (d1) pt_add_affine(acc, g.row(j)[d1 - 1], acc);
-  }
-  for (int j = 0; j < WindowTable::kWindows; ++j) {
-    const unsigned d2 = window_digit4(u2, j);
-    if (d2) pt_add_affine(acc, q_table.impl_->pts[j][d2 - 1], acc);
-  }
-  if (is_zero4(acc.z)) return false;
-  // x(R) mod n == r  <=>  X == r~ * Z^2 for r~ in {r, r + n} with
-  // r~ < p; comparing in projective form skips the field inversion that
-  // would otherwise dominate the verify cost.
+  g.add(acc, d1);
+  q.add(acc, d2);
+  return r_matches(acc, r);
+}
+
+bool verify_r_match(const AffinePoint& q, const U256& u1, const U256& u2,
+                    const U256& r) {
+  const WindowTable::Impl& g = *generator_table().impl_;
+  int d1[kMaxWindows], d2[kMaxWindows];
+  recode_signed(u1, g.w, d1);
+  recode_signed(u2, WindowTable::kKeyWindowBits, d2);
+  g.prefetch(d1);
+  // A per-call row of 1..8 x Q, in affine form for mixed additions.
+  constexpr int kRowLen = 1 << (WindowTable::kKeyWindowBits - 1);
   const Mont& m = mont_p();
-  u64 zz[4], rm[4], cand[4];
-  mont_mul_p(acc.z, acc.z, zz);
-  to_mont(m, r.w, rm);
-  mont_mul_p(rm, zz, cand);
-  if (eq4(cand, acc.x)) return true;
-  u64 rn[4];
-  if (add4(rn, r.w, kN) == 0 && !geq4(rn, kP)) {
-    to_mont(m, rn, rm);
-    mont_mul_p(rm, zz, cand);
-    if (eq4(cand, acc.x)) return true;
+  AffPt base;
+  to_mont(m, q.x.w, base.x);
+  to_mont(m, q.y.w, base.y);
+  JacPt jac[kRowLen];
+  build_row(base, kRowLen, jac);
+  AffPt row[kRowLen];
+  batch_normalize(jac, kRowLen, row);
+  // u2*Q by Horner over the same signed digits, top window first: four
+  // doublings per window, then one mixed addition. u1*G joins after the
+  // last doubling.
+  JacPt acc = jac_infinity();
+  for (int j = windows_of(WindowTable::kKeyWindowBits); j-- > 0;) {
+    for (int i = 0; i < WindowTable::kKeyWindowBits; ++i) pt_double(acc, acc);
+    add_signed(acc, row, d2[j]);
   }
-  return false;
+  g.add(acc, d1);
+  return r_matches(acc, r);
 }
 
 }  // namespace tp::crypto::p256

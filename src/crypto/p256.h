@@ -4,10 +4,10 @@
 // the verifier's hot loop is point arithmetic on this curve. The layer
 // below ecdsa.{h,cpp}: fixed 4x64-bit limb integers, Montgomery
 // arithmetic for both the field prime p and the group order n, Jacobian
-// point formulas (a = -3), and fully precomputed fixed-base tables (a
-// shared 12-bit comb for the generator, 4-bit windows per public key)
-// that turn a fixed-base scalar multiplication into mixed additions with
-// zero doublings -- the trick behind cached ECDSA verification (see
+// point formulas (a = -3), and signed-digit fixed-base tables (12-bit
+// windows for the shared generator, 4-bit windows per public key) that
+// turn a fixed-base scalar multiplication into mixed additions with zero
+// doublings -- the trick behind cached ECDSA verification (see
 // EcdsaVerifyContext).
 //
 // Everything here is deterministic, allocation-light and, like the rest
@@ -60,8 +60,8 @@ U256 mul_mod_n(const U256& a, const U256& b);
 /// exponentiation ladder's memory access pattern does not depend on the
 /// argument, so this is the right call for secret scalars (signing).
 U256 inv_mod_n(const U256& a);
-/// a^-1 mod n via binary extended Euclid; returns 0 for a == 0. Runs in
-/// time dependent on the argument (~7x faster than the Fermat ladder),
+/// a^-1 mod n via Bernstein-Yang divsteps; returns 0 for a == 0. Runs in
+/// time dependent on the argument (stops once the divsteps reach zero),
 /// so it is reserved for PUBLIC values -- verification inverts only the
 /// signature component s, which the caller already holds in the clear.
 U256 inv_mod_n_vartime(const U256& a);
@@ -82,49 +82,56 @@ const AffinePoint& generator();
 bool on_curve(const AffinePoint& point);
 
 /// Reference scalar multiplication (plain double-and-add) and addition.
-/// Correctness baseline for the table-based path; used by the uncached
-/// ecdsa_verify and the differential fuzz tests.
+/// Public only as the test oracle: the differential tests check every
+/// table walk and ecdsa_verify against them, and no verify path calls
+/// them.
 AffinePoint scalar_mul(const AffinePoint& base, const U256& k);
 AffinePoint point_add(const AffinePoint& a, const AffinePoint& b);
 
-/// k * G through the shared generator comb (fast path for signing, key
-/// generation and the G half of verification). The generator is one
-/// fixed, public point shared by every caller in the process, so it
-/// affords a far wider comb than the per-key tables: 22 windows of 12
-/// scalar bits (~5.5 MiB, built lazily on first use), making k*G ~22
-/// mixed additions instead of the per-key table's 64.
+/// k * G through the shared generator table (the fast path for signing,
+/// key generation and the G half of verification): at most 22 mixed
+/// additions.
 AffinePoint scalar_mul_base(const U256& k);
 
-/// Fully precomputed fixed-base table: 64 windows of 4 scalar bits, 15
-/// multiples each (d * 16^j * B for d in 1..15), stored as affine
-/// Montgomery-form points (60 KiB). k*B then costs one mixed addition
-/// per non-zero window digit and no doublings -- at most 64 additions.
-/// The table is built once per enrolled key (960 point additions and one
-/// batched inversion, like RsaVerifyContext's R^2 precompute but
-/// heavier) and then amortized over every transaction confirmation that
-/// key signs. Wider windows shorten the walk but grow the build and the
-/// bytes by 2^w / w: 8-bit windows (32 x 255 entries) halve the walk at
-/// 8.5x the build time and memory per key (EXPERIMENTS.md F15).
+/// Signed-digit fixed-base table, the one table shape for every fixed
+/// base. A scalar k is reduced mod n, folded below 2^255 (k >= 2^255
+/// becomes n - k with every digit's sign flipped), and recoded into w-bit
+/// digits in [-(2^(w-1) - 1), 2^(w-1)]. Row j holds d * 2^(wj) * B for
+/// d = 1..2^(w-1), affine and in Montgomery form; a negative digit adds
+/// the entry's negation (x, p - y). k*B then costs one mixed addition per
+/// non-zero digit and no doublings.
+///
+/// Two widths are in use. Per enrolled key, w = 4: 64 rows x 8 points
+/// (32 KiB), built once per enrollment, recovery or handoff and amortized
+/// over every confirmation that key signs. For the generator, which every
+/// caller in the process shares, w = 12: 22 rows x 2,048 points
+/// (2.75 MiB, built lazily on first use), so u1*G is at most 22
+/// additions. Wider windows shorten the walk but grow the build and the
+/// bytes by about 2^(w-1) / w (EXPERIMENTS.md F15).
 ///
 /// Immutable after construction; safe to share across threads.
 class WindowTable {
  public:
+  static constexpr int kKeyWindowBits = 4;
+  static constexpr int kGeneratorWindowBits = 12;
+
+  /// Heap footprint of a per-key table's points, for capacity planning.
+  static constexpr std::size_t kMemoryBytes = 64 * 8 * 2 * kFieldSize;
+
   /// `base` must satisfy on_curve(); tables over invalid points must be
-  /// rejected by the caller (EcdsaVerifyContext validates first).
-  explicit WindowTable(const AffinePoint& base);
+  /// rejected by the caller (EcdsaVerifyContext validates first). Throws
+  /// std::invalid_argument unless kKeyWindowBits <= window_bits <=
+  /// kGeneratorWindowBits.
+  explicit WindowTable(const AffinePoint& base,
+                       int window_bits = kKeyWindowBits);
   ~WindowTable();
   WindowTable(WindowTable&&) noexcept;
   WindowTable& operator=(WindowTable&&) noexcept;
 
-  static constexpr int kWindows = 64;  // 4-bit windows over 256 bits
-  static constexpr int kRowLen = 15;   // non-zero digits 1..15
-
-  /// Heap footprint of the point table, for capacity planning.
-  static constexpr std::size_t kMemoryBytes =
-      kWindows * kRowLen * 2 * kFieldSize;
-
  private:
   friend bool verify_r_match(const WindowTable&, const U256&, const U256&,
+                             const U256&);
+  friend bool verify_r_match(const AffinePoint&, const U256&, const U256&,
                              const U256&);
   friend AffinePoint table_scalar_mul(const WindowTable&, const U256&);
   struct Impl;
@@ -132,13 +139,22 @@ class WindowTable {
 };
 
 /// The core of cached ECDSA verification: computes R = u1*G + u2*Q (Q is
-/// `q_table`'s base) and decides x(R) mod n == r WITHOUT the final field
-/// inversion, by comparing X_R against r*Z_R^2 (and (r+n)*Z_R^2 when
-/// r + n < p). Returns false when R is the point at infinity.
+/// `q_table`'s base) by walking the generator table and `q_table`, and
+/// decides x(R) mod n == r WITHOUT the final field inversion, by
+/// comparing X_R against r*Z_R^2 (and (r+n)*Z_R^2 when r + n < p).
+/// Returns false when R is the point at infinity.
 bool verify_r_match(const WindowTable& q_table, const U256& u1,
                     const U256& u2, const U256& r);
 
-/// k * B through an arbitrary window table (exposed for tests).
+/// The same decision for a key with no table (the one-shot ecdsa_verify,
+/// i.e. the TPM 2.0 enrollment's quote check): u1*G still walks the
+/// generator table, and u2*Q is a Horner walk over u2's signed 4-bit
+/// digits -- four doublings per window and one mixed addition from a
+/// per-call row of 1..8 x Q. `q` must satisfy on_curve().
+bool verify_r_match(const AffinePoint& q, const U256& u1, const U256& u2,
+                    const U256& r);
+
+/// k * B through a window table, for any 256-bit k (exposed for tests).
 AffinePoint table_scalar_mul(const WindowTable& table, const U256& k);
 
 }  // namespace tp::crypto::p256

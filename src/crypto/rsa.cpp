@@ -189,30 +189,37 @@ Status rsa_verify(const RsaPublicKey& key, HashAlg alg, BytesView message,
 }
 
 RsaVerifyContext::RsaVerifyContext(RsaPublicKey key)
-    : key_(std::move(key)), k_(key_.modulus_bytes()) {
-  if (key_.n.is_odd() && key_.n >= BigInt(3) &&
-      key_.n.bit_length() <= MontgomeryCtx::kMaxBits) {
-    mont_.emplace(key_.n);
+    : e_(std::move(key.e)), k_(key.modulus_bytes()) {
+  if (key.n.is_odd() && key.n >= BigInt(3) &&
+      key.n.bit_length() <= MontgomeryCtx::kMaxBits) {
+    mont_.emplace(key.n);
+  } else {
+    n_ = std::move(key.n);
   }
 }
 
+RsaPublicKey RsaVerifyContext::public_key() const {
+  return {mont_ ? mont_->modulus() : n_, e_};
+}
+
 std::size_t RsaVerifyContext::memory_bytes() const {
-  return key_.memory_bytes() + (mont_ ? mont_->memory_bytes() : 0);
+  return (e_.limbs().size() + n_.limbs().size()) * sizeof(std::uint32_t) +
+         (mont_ ? mont_->memory_bytes() : 0);
 }
 
 Status RsaVerifyContext::verify(HashAlg alg, BytesView message,
                                 BytesView signature) const {
   if (!mont_.has_value()) {
-    return rsa_verify(key_, alg, message, signature);
+    return rsa_verify(public_key(), alg, message, signature);
   }
   if (signature.size() != k_) {
     return Error{Err::kAuthFail, "rsa_verify: bad signature length"};
   }
   const BigInt s = BigInt::from_bytes_be(signature);
-  if (s >= key_.n) {
+  if (!mont_->below_modulus(s)) {
     return Error{Err::kAuthFail, "rsa_verify: representative out of range"};
   }
-  const BigInt m = mont_->mod_exp(s, key_.e);
+  const BigInt m = mont_->mod_exp(s, e_);
   return check_recovered(m, alg, message, k_);
 }
 

@@ -68,7 +68,9 @@ Status rsa_verify(const RsaPublicKey& key, HashAlg alg, BytesView message,
 /// Per-key verification context: caches the Montgomery context for the
 /// key's modulus so repeated verifies against one public key (the SP's
 /// hot loop — one enrolled client confirming many transactions) skip the
-/// per-call R^2-mod-n setup. Verdicts are bit-identical to rsa_verify.
+/// per-call R^2-mod-n setup. The modulus lives only in that context's
+/// limbs; the context keeps e beside it. Verdicts are bit-identical to
+/// rsa_verify.
 ///
 /// Immutable after construction; safe to share across threads.
 class RsaVerifyContext {
@@ -79,19 +81,21 @@ class RsaVerifyContext {
   /// instead of failing construction.
   explicit RsaVerifyContext(RsaPublicKey key);
 
-  const RsaPublicKey& public_key() const { return key_; }
+  /// The key, rebuilt from the cached limbs (for serialization).
+  RsaPublicKey public_key() const;
 
-  /// Heap bytes this context owns: its key copy and the Montgomery
-  /// precompute.
+  /// Heap bytes this context owns: e and the Montgomery context (or, for
+  /// a degenerate modulus, the modulus itself).
   std::size_t memory_bytes() const;
 
   /// Same contract as rsa_verify(public_key(), ...).
   Status verify(HashAlg alg, BytesView message, BytesView signature) const;
 
  private:
-  RsaPublicKey key_;
+  BigInt e_;
   std::size_t k_;  // modulus length in bytes
   std::optional<MontgomeryCtx> mont_;
+  BigInt n_;  // held only when mont_ is empty (a degenerate modulus)
 };
 
 /// RSAES-PKCS1-v1_5 encryption; plaintext must be <= modulus_bytes - 11.

@@ -132,9 +132,8 @@ void SessionTable::collect_expired(SimTime now) {
   // every expired session sits at the front.
   while (lru_head_ != kNil &&
          slots_[lru_head_].session.deadline < now) {
-    const bool was_terminal = slots_[lru_head_].session.terminal();
+    if (!slots_[lru_head_].session.terminal()) ++expirations_;
     erase_slot(lru_head_);
-    ++(was_terminal ? holds_released_ : expirations_);
   }
 }
 
@@ -144,9 +143,8 @@ SessionTable::Session* SessionTable::find(const Key& key, SimTime now,
   const std::size_t i = probe(key);
   if (!slots_[i].used) return nullptr;
   if (expiry_enabled() && slots_[i].session.deadline < now) {
-    const bool was_terminal = slots_[i].session.terminal();
+    if (!slots_[i].session.terminal()) ++expirations_;
     erase_slot(i);
-    ++(was_terminal ? holds_released_ : expirations_);
     if (expired != nullptr) *expired = true;
     return nullptr;
   }

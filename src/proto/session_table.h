@@ -145,11 +145,9 @@ class SessionTable {
 
   /// Sessions evicted to make room (capacity pressure).
   std::uint64_t evictions() const { return evictions_; }
-  /// Half-open sessions collected because their deadline passed.
+  /// Half-open sessions collected because their deadline passed (a
+  /// settled session whose replay-hold window closed is not counted).
   std::uint64_t expirations() const { return expirations_; }
-  /// Terminal (settled) sessions whose replay-hold window closed; kept
-  /// separate so expirations() still means "abandoned half-open".
-  std::uint64_t holds_released() const { return holds_released_; }
 
   /// Heap bytes pinned by the table -- constant over its lifetime
   /// regardless of traffic (the boundedness the tests assert).
@@ -213,7 +211,6 @@ class SessionTable {
   std::uint32_t lru_tail_ = kNil;  // most recently begun
   std::uint64_t evictions_ = 0;
   std::uint64_t expirations_ = 0;
-  std::uint64_t holds_released_ = 0;
   std::vector<Slot> slots_;
 };
 

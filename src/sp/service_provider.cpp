@@ -267,6 +267,9 @@ EnrollResult ServiceProvider::complete_enrollment(const EnrollComplete& msg) {
   const proto::SpScreen screen =
       proto::sp_screen_complete(proto::SpCompleteFacts{});
   proto::RejectCode evidence = proto::RejectCode::kNone;
+  // The enrolled counters count clients: a known id that enrolls again
+  // replaces its key without being counted twice.
+  const bool new_client = !crypto_.is_enrolled(msg.client_id);
   if (screen.need_verify) {
     evidence = crypto_.verify_enrollment(proto::EnrollEvidence{
         msg.client_id, static_cast<std::uint8_t>(msg.format),
@@ -285,8 +288,10 @@ EnrollResult ServiceProvider::complete_enrollment(const EnrollComplete& msg) {
   session->state = settle.next_state;
   publish_session_metrics();
   if (settle.accepted) {
-    c_enrolled_->inc();
-    c_enrolled_fmt_[tpm::quote_format_index(msg.format)]->inc();
+    if (new_client) {
+      c_enrolled_->inc();
+      c_enrolled_fmt_[tpm::quote_format_index(msg.format)]->inc();
+    }
     return EnrollResult{true, "enrolled"};
   }
   return reject_enrollment(settle.reject);

@@ -261,10 +261,6 @@ class ServiceProvider {
   std::uint64_t session_expirations() const {
     return enroll_sessions_.expirations() + tx_sessions_.expirations();
   }
-  /// Settled sessions whose idempotent-replay hold window closed.
-  std::uint64_t session_holds_released() const {
-    return enroll_sessions_.holds_released() + tx_sessions_.holds_released();
-  }
 
   /// Heap bytes pinned by the TxSubmit dedup map -- constant over the
   /// SP's lifetime (sized from tx_session_capacity at construction).

@@ -80,7 +80,6 @@ class SimClock {
     SimDuration duration;
   };
   const std::vector<Span>& spans() const { return spans_; }
-  void clear_spans() { spans_.clear(); }
 
   /// Sum of durations of all spans whose label equals `label`.
   SimDuration total_for(const std::string& label) const;

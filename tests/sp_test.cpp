@@ -310,6 +310,18 @@ TEST(ServiceProviderTest, StatsTrackRejectCodes) {
   EXPECT_EQ(world.sp().stats().total_rejects(), 1u);
 }
 
+TEST(ServiceProviderTest, ReEnrollmentCountsTheClientOnce) {
+  // A client that enrolls again replaces its key; `enrolled` and its
+  // per-format slice count clients, not accepted enrollments.
+  Deployment world(fast_config());
+  ASSERT_TRUE(world.client().enroll().ok());
+  ASSERT_TRUE(world.client().enroll().ok());
+  const SpStats stats = world.sp().stats();
+  EXPECT_EQ(world.sp().enrolled_count(), 1u);
+  EXPECT_EQ(stats.enrolled, 1u);
+  EXPECT_EQ(stats.enrolled_format(tpm::QuoteFormat::kTpm12), 1u);
+}
+
 TEST(ServiceProviderTest, StatsResetGivesCleanPhaseMeasurements) {
   Deployment world(fast_config());
   core::EnrollComplete msg;
@@ -442,13 +454,12 @@ TEST(ServiceProviderTest, MemoryBytesGrowByPerClientBytesPerFormat) {
   const std::size_t tpm2 = per_client[1];
   EXPECT_EQ(sp.enrolled_count(), 2 * kPerFormat);
   EXPECT_EQ(sp.memory_bytes() - flat, kPerFormat * tpm12 + kPerFormat * tpm2);
-  // TPM 2.0: the 60 KiB P-256 window table plus the key and the node.
+  // TPM 2.0: the 32 KiB P-256 window table plus the key and the node.
   EXPECT_GT(tpm2, crypto::p256::WindowTable::kMemoryBytes);
   EXPECT_LT(tpm2, crypto::p256::WindowTable::kMemoryBytes + 1024);
-  // TPM 1.2: two copies of the 256-byte RSA-2048 modulus (the verify
-  // context's key and the Montgomery context), its 64-bit limb copy and
-  // R^2 mod n, plus the node.
-  EXPECT_GT(tpm12, 4 * 256u);
+  // TPM 1.2: one copy of the 256-byte RSA-2048 modulus (the Montgomery
+  // context's 64-bit limbs) and R^2 mod n, plus e and the node.
+  EXPECT_GT(tpm12, 2 * 256u);
   EXPECT_LT(tpm12, 4096u);
   std::printf("per-client bytes (14-char id): tpm12=%zu tpm2=%zu\n", tpm12,
               tpm2);

@@ -1,10 +1,11 @@
 // TPM 2.0 / ECC backend suites (`ctest -L tpm2`).
 //
 // Layered like the subsystem itself: P-256 curve known answers (FIPS
-// 186-4 / RFC 6979 A.2.5 vectors), ECDSA sign/verify with fixed and
-// deterministic nonces, differential fuzz of the cached verifier
-// against the uncached reference, then the tpm2 device, quote format,
-// and mixed-fleet end-to-end coverage.
+// 186-4 / RFC 6979 A.2.5 vectors), signed-digit table walks against the
+// double-and-add reference, ECDSA sign/verify with fixed and
+// deterministic nonces, differential fuzz of the cached and one-shot
+// verifiers against a double-and-add oracle, then the tpm2 device,
+// quote format, and mixed-fleet end-to-end coverage.
 
 #include <gtest/gtest.h>
 
@@ -59,6 +60,51 @@ crypto::EcdsaPrivateKey rfc_key() {
 crypto::EcdsaPrivateKey random_key(crypto::HmacDrbg& rng) {
   return crypto::ecdsa_generate(
       [&rng](std::size_t n) { return rng.generate(n); });
+}
+
+p256::AffinePoint point_of(const crypto::EcdsaPublicKey& key) {
+  p256::AffinePoint q;
+  q.x = p256::from_bytes_be(key.x);
+  q.y = p256::from_bytes_be(key.y);
+  q.infinity = false;
+  return q;
+}
+
+p256::U256 small(std::uint64_t v) {
+  p256::U256 k{};
+  k.w[0] = v;
+  return k;
+}
+
+/// The double-and-add verify that ecdsa_verify ran before its windowed
+/// walk, kept as an oracle: the Fermat inversion of s, two independent
+/// scalar_mul calls and a full affine conversion. Same verdicts and
+/// codes as ecdsa_verify.
+Err reference_verify(const crypto::EcdsaPublicKey& key, BytesView message,
+                     BytesView signature) {
+  if (signature.size() != crypto::kEcdsaSignatureSize ||
+      key.x.size() != p256::kFieldSize || key.y.size() != p256::kFieldSize) {
+    return Err::kAuthFail;
+  }
+  const p256::U256 r =
+      p256::from_bytes_be(signature.subspan(0, p256::kFieldSize));
+  const p256::U256 s =
+      p256::from_bytes_be(signature.subspan(p256::kFieldSize));
+  for (const p256::U256& v : {r, s}) {
+    if (v.is_zero() || !p256::u256_less(v, p256::order_n())) {
+      return Err::kAuthFail;
+    }
+  }
+  const p256::AffinePoint q = point_of(key);
+  if (!p256::on_curve(q)) return Err::kAuthFail;
+  const p256::U256 e = p256::reduce_mod_n(
+      p256::from_bytes_be(crypto::Sha256::hash(message)));
+  const p256::U256 w = p256::inv_mod_n(s);
+  const p256::AffinePoint sum = p256::point_add(
+      p256::scalar_mul(p256::generator(), p256::mul_mod_n(e, w)),
+      p256::scalar_mul(q, p256::mul_mod_n(r, w)));
+  return !sum.infinity && p256::reduce_mod_n(sum.x) == r ? Err::kNone
+                                                         : Err::kAuthFail;
 }
 
 // ---- P-256 curve known answers ----------------------------------------
@@ -130,9 +176,10 @@ TEST(P256, AdditionIdentities) {
 
 TEST(P256, WindowTableMatchesReferenceOnRandomPoints) {
   crypto::HmacDrbg rng(bytes_of("tpm2-test:table"));
-  // Edge scalars for the 4-bit table: 1, n - 1, every nibble 0xF (the
-  // longest walk: all 64 windows at the last row entry), and scalars
-  // with a single non-zero window d * 16^j at the limb boundaries.
+  // Edge scalars for the signed 4-bit table: 1, n - 1, every nibble 0xF
+  // (above n, so the walk reduces it first), and scalars with a single
+  // non-zero window d * 16^j at the limb boundaries (d = 15 recodes to
+  // -1 with a carry into the next window).
   std::vector<p256::U256> edges;
   p256::U256 one{};
   one.w[0] = 1;
@@ -159,11 +206,7 @@ TEST(P256, WindowTableMatchesReferenceOnRandomPoints) {
     edges.push_back(k);
   }
   for (int i = 0; i < 4; ++i) {
-    const crypto::EcdsaPrivateKey key = random_key(rng);
-    p256::AffinePoint q;
-    q.x = p256::from_bytes_be(key.public_half.x);
-    q.y = p256::from_bytes_be(key.public_half.y);
-    q.infinity = false;
+    const p256::AffinePoint q = point_of(random_key(rng).public_key());
     ASSERT_TRUE(p256::on_curve(q));
     const p256::WindowTable table(q);
     std::vector<p256::U256> scalars = edges;
@@ -178,6 +221,95 @@ TEST(P256, WindowTableMatchesReferenceOnRandomPoints) {
       EXPECT_EQ(ref.x, fast.x);
       EXPECT_EQ(ref.y, fast.y);
     }
+  }
+}
+
+TEST(P256, SignedRecodingEdgeScalarsMatchReference) {
+  // Every walk over signed digits against scalar_mul, at the scalars
+  // where the recoding's fold and carries turn: the per-key table
+  // (w = 4), the generator table (w = 12, through scalar_mul_base), and
+  // both verify walks -- the one-shot's Horner walk over u2 and the
+  // cached walk -- each checked with the edge scalar as u2 and as u1.
+  const p256::U256& n = p256::order_n();
+  const auto sub = [](const p256::U256& a, const p256::U256& b) {
+    // a - b for a >= b, limb by limb with borrow.
+    p256::U256 out;
+    std::uint64_t borrow = 0;
+    for (int i = 0; i < 4; ++i) {
+      const std::uint64_t d = a.w[i] - b.w[i] - borrow;
+      borrow = (a.w[i] < b.w[i] || (a.w[i] == b.w[i] && borrow)) ? 1 : 0;
+      out.w[i] = d;
+    }
+    return out;
+  };
+  p256::U256 two_255{};
+  two_255.w[3] = std::uint64_t{1} << 63;
+  const auto nibbles = [](std::uint64_t low, std::uint64_t rest,
+                          std::uint64_t top) {
+    // Low nibble `low`, every other nibble `rest`, except the top one.
+    p256::U256 k;
+    for (auto& limb : k.w) limb = rest * 0x1111111111111111ull;
+    k.w[0] = (k.w[0] & ~std::uint64_t{0xF}) | low;
+    k.w[3] = (k.w[3] & ~(std::uint64_t{0xF} << 60)) | (top << 60);
+    return k;
+  };
+  const auto windows12 = [](std::uint64_t low, std::uint64_t rest) {
+    // 12-bit window 0 = low, windows 1..20 = rest, bits 252..254 set.
+    p256::U256 k{};
+    for (int j = 0; j < 21; ++j) {
+      const std::uint64_t v = j == 0 ? low : rest;
+      const int bit = 12 * j;
+      k.w[bit / 64] |= v << (bit % 64);
+      if (bit % 64 > 52) k.w[bit / 64 + 1] |= v >> (64 - bit % 64);
+    }
+    k.w[3] |= std::uint64_t{7} << 60;
+    return k;
+  };
+  // 0x7888...89 carries through all 64 windows and ends on the top
+  // digit's limit, 8; every nibble 8 or 9 sits above 2^255 and folds.
+  const p256::U256 carry_chain = nibbles(9, 8, 7);
+  const std::vector<p256::U256> edges = {
+      small(1), small(2), small(8), small(9),
+      sub(n, small(1)), sub(n, small(2)),
+      sub(two_255, small(1)), two_255, p256::add_mod_n(two_255, small(1)),
+      sub(sub(n, two_255), small(1)), sub(n, two_255),
+      p256::add_mod_n(sub(n, two_255), small(1)),
+      nibbles(9, 8, 8), nibbles(9, 9, 9), carry_chain, sub(n, carry_chain),
+      windows12(0x800, 0x800), windows12(0x801, 0x801),
+      windows12(0x801, 0x7FF)};
+
+  crypto::HmacDrbg rng(bytes_of("tpm2-test:edges"));
+  const p256::AffinePoint q = point_of(random_key(rng).public_key());
+  const p256::WindowTable table(q);
+  const p256::U256 other =
+      p256::reduce_mod_n(p256::from_bytes_be(rng.generate(32)));
+  for (const p256::U256& k : edges) {
+    SCOPED_TRACE(to_hex(p256::to_bytes_be(k)));
+    const p256::AffinePoint kq = p256::scalar_mul(q, k);
+    const p256::AffinePoint fast_q = p256::table_scalar_mul(table, k);
+    EXPECT_EQ(fast_q.infinity, kq.infinity);
+    EXPECT_EQ(fast_q.x, kq.x);
+    EXPECT_EQ(fast_q.y, kq.y);
+    const p256::AffinePoint kg = p256::scalar_mul(p256::generator(), k);
+    const p256::AffinePoint fast_g = p256::scalar_mul_base(k);
+    EXPECT_EQ(fast_g.infinity, kg.infinity);
+    EXPECT_EQ(fast_g.x, kg.x);
+    EXPECT_EQ(fast_g.y, kg.y);
+    // R = other*G + k*Q, then R = k*G + other*Q: a digit of the wrong
+    // sign moves x(R), which a lone k*Q would not show.
+    const p256::AffinePoint as_u2 = p256::point_add(
+        p256::scalar_mul(p256::generator(), other), kq);
+    const p256::AffinePoint as_u1 =
+        p256::point_add(kg, p256::scalar_mul(q, other));
+    ASSERT_FALSE(as_u2.infinity);
+    ASSERT_FALSE(as_u1.infinity);
+    const p256::U256 r2 = p256::reduce_mod_n(as_u2.x);
+    const p256::U256 r1 = p256::reduce_mod_n(as_u1.x);
+    EXPECT_TRUE(p256::verify_r_match(q, other, k, r2));
+    EXPECT_TRUE(p256::verify_r_match(table, other, k, r2));
+    EXPECT_TRUE(p256::verify_r_match(q, k, other, r1));
+    EXPECT_TRUE(p256::verify_r_match(table, k, other, r1));
+    EXPECT_FALSE(p256::verify_r_match(q, other, k, r1));
   }
 }
 
@@ -280,9 +412,10 @@ TEST(Ecdsa, DegenerateInputsRejected) {
 }
 
 TEST(Ecdsa, ContextVerdictMatchesUncachedVerify) {
-  // Differential fuzz: the table-walk verifier and the double-and-add
-  // reference must agree on genuine signatures and on random
-  // single-byte corruptions of the signature or message.
+  // Differential fuzz: the cached table walk, the one-shot windowed
+  // ecdsa_verify and the double-and-add oracle must agree on genuine
+  // signatures and on random single-byte corruptions of the signature
+  // or message.
   crypto::HmacDrbg rng(bytes_of("tpm2-test:diff"));
   for (int ki = 0; ki < 6; ++ki) {
     const crypto::EcdsaPrivateKey key = random_key(rng);
@@ -291,20 +424,24 @@ TEST(Ecdsa, ContextVerdictMatchesUncachedVerify) {
     for (int mi = 0; mi < 6; ++mi) {
       const Bytes msg = rng.generate(48);
       const Bytes sig = crypto::ecdsa_sign(key, msg);
-      EXPECT_TRUE(ctx.verify(msg, sig).ok());
-      EXPECT_TRUE(crypto::ecdsa_verify(key.public_key(), msg, sig).ok());
+      const auto agree = [&](const Bytes& m, const Bytes& sg) {
+        const Err oracle = reference_verify(key.public_key(), m, sg);
+        EXPECT_EQ(ctx.verify(m, sg).code(), oracle);
+        EXPECT_EQ(crypto::ecdsa_verify(key.public_key(), m, sg).code(),
+                  oracle);
+        return oracle;
+      };
+      EXPECT_EQ(agree(msg, sig), Err::kNone);
 
       Bytes mut_sig = sig;
       const Bytes pick = rng.generate(2);
       mut_sig[pick[0] % mut_sig.size()] ^= static_cast<std::uint8_t>(
           pick[1] ? pick[1] : 1);
-      EXPECT_EQ(ctx.verify(msg, mut_sig).code(),
-                crypto::ecdsa_verify(key.public_key(), msg, mut_sig).code());
+      agree(msg, mut_sig);
 
       Bytes mut_msg = msg;
       mut_msg[pick[1] % mut_msg.size()] ^= 0x80;
-      EXPECT_EQ(ctx.verify(mut_msg, sig).code(),
-                crypto::ecdsa_verify(key.public_key(), mut_msg, sig).code());
+      agree(mut_msg, sig);
     }
   }
 }
