@@ -21,7 +21,7 @@
 #include "captcha/captcha.h"
 #include "host/adversary.h"
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "sp_frames.h"
 
 using namespace tp;
@@ -71,12 +71,12 @@ double captcha_rate(double attacker_strength, double distortion,
 
 // (c) Trusted path, mechanical attacks (no human involvement).
 double trusted_path_rate(std::uint64_t seed) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "victim";
   cfg.seed = bytes_of("f2-tp:" + std::to_string(seed));
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   devices::HumanParams hp;
   hp.typo_prob = 0.0;
@@ -84,7 +84,7 @@ double trusted_path_rate(std::uint64_t seed) {
   world.client().set_user_agent(&benign);
   if (!world.client().enroll().ok()) std::abort();
 
-  host::MalwareKit malware(world.platform(), world.client_endpoint(),
+  host::MalwareKit malware(world.platform(), world.endpoint(),
                            "victim", world.client().sealed_key_blob(),
                            SimRng(seed * 31 + 7));
   int wins = 0, attempts = 0;
@@ -102,12 +102,12 @@ double trusted_path_rate(std::uint64_t seed) {
 
 // (c') Trusted path residual: transaction substitution vs user attention.
 double substitution_rate(double attention, std::uint64_t seed) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "victim";
   cfg.seed = bytes_of("f2-sub:" + std::to_string(seed));
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   devices::HumanParams hp;
   hp.typo_prob = 0.0;
@@ -115,7 +115,7 @@ double substitution_rate(double attention, std::uint64_t seed) {
   world.client().set_user_agent(&benign);
   if (!world.client().enroll().ok()) std::abort();
 
-  host::MalwareKit malware(world.platform(), world.client_endpoint(),
+  host::MalwareKit malware(world.platform(), world.endpoint(),
                            "victim", world.client().sealed_key_blob(),
                            SimRng(seed * 131 + 5));
   devices::HumanParams victim_params;

@@ -13,7 +13,7 @@
 #include "core/trusted_path_pal.h"
 #include "devices/human.h"
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "tpm/chip_profile.h"
 
 using namespace tp;
@@ -27,13 +27,13 @@ struct Point {
 };
 
 Point run_batch(const std::string& chip, std::size_t batch_size) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "bench";
-  cfg.chip_name = chip;
+  cfg.chip_mix = {chip};
   cfg.seed = bytes_of("a1:" + chip + std::to_string(batch_size));
   cfg.tpm_key_bits = 1024;
   cfg.client_key_bits = 1024;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   std::vector<core::TrustedPathClient::BatchTx> txs;
   std::vector<core::BatchItem> preview;

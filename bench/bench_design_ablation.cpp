@@ -15,7 +15,7 @@
 #include "devices/human.h"
 #include "pal/human_agent.h"
 #include "pal/session.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "sp_frames.h"
 #include "tpm/chip_profile.h"
 
@@ -32,13 +32,13 @@ struct Costs {
 };
 
 Costs run(const std::string& chip) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "ablation";
-  cfg.chip_name = chip;
+  cfg.chip_mix = {chip};
   cfg.seed = bytes_of("a2:" + chip);
   cfg.tpm_key_bits = 1024;
   cfg.client_key_bits = 1024;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   devices::HumanParams hp;
   hp.typo_prob = 0.0;

@@ -10,7 +10,7 @@
 
 #include "devices/human.h"
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "tpm/chip_profile.h"
 
 using namespace tp;
@@ -23,14 +23,14 @@ struct Point {
 };
 
 Point run_once(const std::string& chip, std::size_t payload_size) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "bench";
-  cfg.chip_name = chip;
+  cfg.chip_mix = {chip};
   cfg.seed = bytes_of("f1:" + chip + ":" + std::to_string(payload_size));
   cfg.tpm_key_bits = 1024;
   cfg.client_key_bits = 1024;
   cfg.net.latency_mean_ms = 40;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   devices::HumanParams hp;
   hp.typo_prob = 0.0;
@@ -38,11 +38,11 @@ Point run_once(const std::string& chip, std::size_t payload_size) {
   world.client().set_user_agent(&agent);
   if (!world.client().enroll().ok()) std::abort();
 
-  const SimTime start = world.clock().now();
+  const SimTime start = world.platform().clock().now();
   auto outcome =
       world.client().submit_transaction("checkout", Bytes(payload_size, 0x5a));
   if (!outcome.ok() || !outcome.value().accepted) std::abort();
-  const SimDuration total = world.clock().now() - start;
+  const SimDuration total = world.platform().clock().now() - start;
   const SimDuration user = outcome.value().timing.user;
   return Point{(total - user).to_millis(), total.to_millis()};
 }

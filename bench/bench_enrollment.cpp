@@ -9,7 +9,7 @@
 
 #include "core/trusted_path_pal.h"
 #include "pal/session.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "sp_frames.h"
 #include "tpm/chip_profile.h"
 
@@ -26,16 +26,16 @@ struct EnrollCost {
 };
 
 EnrollCost run(const std::string& chip, std::uint32_t key_bits) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "bench";
-  cfg.chip_name = chip;
+  cfg.chip_mix = {chip};
   cfg.seed = bytes_of("t3:" + chip + std::to_string(key_bits));
   cfg.tpm_key_bits = key_bits;
   cfg.client_key_bits = key_bits;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   // Direct PAL session to read the span log.
-  SimClock& clock = world.clock();
+  SimClock& clock = world.platform().clock();
   const std::size_t spans_before = clock.spans().size();
   auto challenge =
       test::begin_enrollment(world.sp(), core::EnrollBegin{"bench"});

@@ -18,7 +18,7 @@
 
 #include "devices/human.h"
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 
 using namespace tp;
 
@@ -37,7 +37,7 @@ struct Point {
 
 Point run_rate(double rate_pct) {
   const double rate = rate_pct / 100.0;
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "f8-client";
   cfg.seed = bytes_of("f8:" + std::to_string(rate_pct));
   cfg.tpm_key_bits = 768;
@@ -54,7 +54,7 @@ Point run_rate(double rate_pct) {
   cfg.net.fault.to_client = profile;
   cfg.client_retry.max_attempts = 16;
   cfg.client_retry.backoff_base = SimDuration::millis(50);
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   devices::HumanParams hp;
   hp.typo_prob = 0.0;
@@ -68,9 +68,9 @@ Point run_rate(double rate_pct) {
   for (int i = 0; i < kTxsPerPoint; ++i) {
     const std::string summary = "order " + std::to_string(i);
     agent.set_intended_summary(summary);
-    const SimTime start = world.clock().now();
+    const SimTime start = world.platform().clock().now();
     auto outcome = world.client().submit_transaction(summary, bytes_of("tx"));
-    const SimDuration total = world.clock().now() - start;
+    const SimDuration total = world.platform().clock().now() - start;
     if (outcome.ok() && outcome.value().accepted) {
       ++p.accepted;
       machine = machine + (total - outcome.value().timing.user);

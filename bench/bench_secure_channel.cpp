@@ -1,7 +1,7 @@
 // Experiment F6: secure-transport data plane (real time).
 //
 // The deployment wraps the client<->SP link in the authenticated-
-// encryption channel (DeploymentConfig::secure_transport), so every
+// encryption channel (FleetConfig::secure_transport), so every
 // protocol frame pays one AES-256-CTR pass plus one HMAC-SHA256 per
 // direction. This benchmark pins down what that costs:
 //
@@ -10,8 +10,9 @@
 //                             record seals + two opens (both directions).
 //   2. BM_SecureHandshake  -- session establishment (RSA key transport +
 //                             key derivation + ack record).
-//   3. BM_ConfirmE2E       -- a full CONFIRM session through the
-//                             Deployment, secure transport off vs on:
+//   3. BM_ConfirmE2E       -- a full CONFIRM session through a
+//                             one-member sp::Fleet, secure transport
+//                             off vs on:
 //                             the transport's end-to-end overhead on the
 //                             paper's per-transaction path.
 #include <benchmark/benchmark.h>
@@ -23,7 +24,7 @@
 #include "devices/human.h"
 #include "net/secure_channel.h"
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 
 using namespace tp;
 
@@ -88,13 +89,13 @@ void BM_SecureHandshake(benchmark::State& state) {
 BENCHMARK(BM_SecureHandshake)->Unit(benchmark::kMicrosecond);
 
 void BM_ConfirmE2E(benchmark::State& state) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "f6-client";
   cfg.seed = bytes_of("f6-e2e");
   cfg.tpm_key_bits = 1024;
   cfg.client_key_bits = 1024;
   cfg.secure_transport = state.range(0) != 0;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   devices::HumanParams hp;
   hp.typo_prob = 0.0;

@@ -11,7 +11,7 @@
 #include "devices/human.h"
 #include "pal/human_agent.h"
 #include "pal/session.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "tpm/chip_profile.h"
 
 using namespace tp;
@@ -24,13 +24,13 @@ struct Run {
 };
 
 Run run_sessions(const std::string& chip_name) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "bench";
-  cfg.chip_name = chip_name;
+  cfg.chip_mix = {chip_name};
   cfg.seed = bytes_of("t2:" + chip_name);
   cfg.tpm_key_bits = 1024;
   cfg.client_key_bits = 1024;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   devices::HumanParams hp;
   hp.typo_prob = 0.0;

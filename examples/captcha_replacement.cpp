@@ -10,7 +10,7 @@
 #include "captcha/captcha.h"
 #include "host/adversary.h"
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 
 using namespace tp;
 
@@ -51,12 +51,12 @@ Dashboard run_captcha_defence(double distortion, double bot_strength) {
 Dashboard run_trusted_path_defence() {
   Dashboard board;
 
-  sp::DeploymentConfig config;
+  sp::FleetConfig config;
   config.client_id = "visitor";
   config.seed = bytes_of("captcha-replacement");
   config.tpm_key_bits = 768;
   config.client_key_bits = 768;
-  sp::Deployment world(config);
+  sp::Fleet world(config);
 
   devices::HumanParams hp;
   hp.typo_prob = 0.0;
@@ -73,7 +73,7 @@ Dashboard run_trusted_path_defence() {
   }
 
   // Bots: the full malware kit, no human at the machine.
-  host::MalwareKit bot(world.platform(), world.client_endpoint(), "visitor",
+  host::MalwareKit bot(world.platform(), world.endpoint(), "visitor",
                        world.client().sealed_key_blob(), SimRng(99));
   for (int i = 0; i < kBots / 4; ++i) {
     const std::string action = "bot signup #" + std::to_string(i);

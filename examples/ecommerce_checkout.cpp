@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 
 using namespace tp;
 
@@ -31,10 +31,10 @@ std::string cart_summary(const std::vector<CartItem>& cart) {
 }  // namespace
 
 int main() {
-  sp::DeploymentConfig config;
+  sp::FleetConfig config;
   config.client_id = "customer-17";
   config.seed = bytes_of("ecommerce");
-  sp::Deployment shop(config);
+  sp::Fleet shop(config);
 
   devices::HumanParams careful;
   careful.attention = 1.0;  // this customer reads the trusted screen

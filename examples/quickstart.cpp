@@ -1,11 +1,12 @@
 // Quickstart: one client, one service provider, one confirmed
-// transaction over the uni-directional trusted path.
+// transaction over the uni-directional trusted path. The world is a
+// one-member sp::Fleet with its defaults (1,024-bit keys, TPM 1.2).
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 
 using namespace tp;
 
@@ -13,9 +14,9 @@ int main() {
   // 1. Deploy the world: a client machine with TPM + DRTM, a Privacy CA
   //    that certified its AIK, and a service provider that trusts the CA
   //    and the published PAL measurement.
-  sp::DeploymentConfig config;
+  sp::FleetConfig config;
   config.client_id = "alice-laptop";
-  sp::Deployment world(config);
+  sp::Fleet world(config);
 
   // 2. A human sits at the machine, intending to pay Bob.
   devices::HumanParams human;

@@ -180,6 +180,8 @@ int main(int argc, char** argv) {
   sp::FleetConfig fleet_config;
   fleet_config.num_clients = 4;
   fleet_config.seed = bytes_of("daemon");
+  fleet_config.tpm_key_bits = 768;
+  fleet_config.client_key_bits = 768;
   if (backend == "tpm2") {
     fleet_config.backend_mix = {tpm::QuoteFormat::kTpm2};
   } else if (backend == "mixed") {

@@ -353,10 +353,15 @@ void VerifierCluster::remove_shard(std::uint32_t shard_id) {
   next.remove_shard(shard_id);
   migrate_to(next);
   router_ = std::move(next);
-  members_.erase(std::find_if(members_.begin(), members_.end(),
-                              [shard_id](const std::unique_ptr<Member>& m) {
-                                return m->id == shard_id;
-                              }));
+  const auto departing =
+      std::find_if(members_.begin(), members_.end(),
+                   [shard_id](const std::unique_ptr<Member>& m) {
+                     return m->id == shard_id;
+                   });
+  // Its clients moved without their history (a handoff bumps no
+  // counter), so the cluster keeps the departing shard's books.
+  retired_stats_ += (*departing)->service->stats();
+  members_.erase(departing);
   // Shard ids are never reused, so the departed id's storage is dead
   // weight (migrate_to just checkpointed its emptied state). The member
   // (and its SP, which held the log pointer) is already destroyed.
@@ -390,7 +395,7 @@ void VerifierCluster::replay_parked(std::vector<ParkedFrame> parked) {
 
 sp::SpStats VerifierCluster::stats() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  sp::SpStats total;
+  sp::SpStats total = retired_stats_;
   for (const auto& m : members_) total += m->service->stats();
   return total;
 }

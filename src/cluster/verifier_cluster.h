@@ -172,8 +172,9 @@ class VerifierCluster {
   /// thread-safe; tests read appended_total() to aim kill_shard().
   store::StorageBackend& shard_backend(std::uint32_t shard_id);
 
-  /// Protocol stats aggregated across members (safe while running:
-  /// member registries are atomic).
+  /// Protocol stats aggregated across members, including those that
+  /// left through remove_shard() (safe while running: member registries
+  /// are atomic).
   sp::SpStats stats() const;
 
   /// Refreshes the per-shard gauges
@@ -233,8 +234,8 @@ class VerifierCluster {
   std::chrono::steady_clock::time_point epoch_;
   obs::Registry registry_;
 
-  /// Guards router_ + members_: shared for routing/submitting, exclusive
-  /// for resizes.
+  /// Guards router_, members_ and retired_stats_: shared for
+  /// routing/submitting, exclusive for resizes.
   mutable std::shared_mutex mu_;
   /// Durable-mode storage, keyed by shard id and owned by the cluster
   /// (NOT the member): a member incarnation dies on an injected crash,
@@ -248,6 +249,8 @@ class VerifierCluster {
 
   ConsistentHashRouter router_;
   std::vector<std::unique_ptr<Member>> members_;
+  /// The books of shards that left: stats() starts from this total.
+  sp::SpStats retired_stats_;
   std::uint32_t next_shard_id_ = 0;
 
   /// Parked-frame protocol: submits that cannot take mu_ shared check

@@ -5,7 +5,7 @@
 // security decision is end-to-end: signatures, quotes, nonces), but the
 // deployment assumes an SSL channel for confidentiality and basic server
 // authentication, so the substrate exists and can be switched on per
-// deployment (DeploymentConfig::secure_transport).
+// deployment (FleetConfig::secure_transport).
 //
 // Construction (TLS-shaped, deliberately minimal):
 //   handshake: client draws a 32-byte master secret, RSA-encrypts it to

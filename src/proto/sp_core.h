@@ -53,8 +53,6 @@ enum class SpActionKind : std::uint8_t {
   kCountReject,      // bump the reject counter family (code attached)
 };
 
-const char* sp_action_name(SpActionKind kind);
-
 struct SpAction {
   SpActionKind kind = SpActionKind::kNone;
   RejectCode reject = RejectCode::kNone;  // for kCountReject

@@ -39,16 +39,6 @@ enum class SvcStatus : std::uint8_t {
   kShutdown,        // service not running / draining
 };
 
-constexpr const char* svc_status_name(SvcStatus s) {
-  switch (s) {
-    case SvcStatus::kOk: return "ok";
-    case SvcStatus::kDeadlineExpired: return "deadline_expired";
-    case SvcStatus::kQueueFull: return "queue_full";
-    case SvcStatus::kShutdown: return "shutdown";
-  }
-  return "unknown";
-}
-
 struct SvcResponse {
   SvcStatus status = SvcStatus::kShutdown;
   Bytes frame;  // SP response frame; empty unless status == kOk

@@ -5,7 +5,7 @@
 
 #include "host/adversary.h"
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 
 namespace tp::host {
 namespace {
@@ -30,12 +30,12 @@ class AdversaryTest : public ::testing::Test {
     // The malware lifts the victim's sealed key from disk and knows the
     // victim id: the threat model grants both.
     malware_ = std::make_unique<MalwareKit>(
-        world_.platform(), world_.client_endpoint(), "victim",
+        world_.platform(), world_.endpoint(), "victim",
         world_.client().sealed_key_blob(), SimRng(666));
   }
 
-  static sp::DeploymentConfig make_config() {
-    sp::DeploymentConfig cfg;
+  static sp::FleetConfig make_config() {
+    sp::FleetConfig cfg;
     cfg.client_id = "victim";
     cfg.seed = bytes_of("adversary-test");
     cfg.tpm_key_bits = 768;
@@ -43,7 +43,7 @@ class AdversaryTest : public ::testing::Test {
     return cfg;
   }
 
-  sp::Deployment world_;
+  sp::Fleet world_;
   std::unique_ptr<MalwareKit> malware_;
 };
 

@@ -22,7 +22,7 @@
 #include "core/messages.h"
 #include "core/trusted_path_pal.h"
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "sp/service_provider.h"
 #include "sp_frames.h"
 #include "tpm/tpm2_device.h"
@@ -328,7 +328,7 @@ devices::HumanParams perfect_human() {
 
 TEST(ChaosFullStack, RetryingClientConfirmsEverythingOverFaultyLink) {
   obs::Registry registry;
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "chaos-alice";
   cfg.seed = bytes_of("chaos-full-stack");
   cfg.tpm_key_bits = 768;
@@ -355,7 +355,7 @@ TEST(ChaosFullStack, RetryingClientConfirmsEverythingOverFaultyLink) {
   cfg.tpm_faults.transient_prob = 0.05;
   cfg.tpm_faults.max_retries = 10;
 
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
   pal::HumanAgent agent(devices::HumanModel(perfect_human(), SimRng(11)), "");
   world.client().set_user_agent(&agent);
 
@@ -387,7 +387,7 @@ TEST(ChaosFullStack, RetryingClientConfirmsEverythingOverFaultyLink) {
 }
 
 TEST(ChaosFullStack, SecureTransportSurvivesCorruptionBothDirections) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "chaos-tls";
   cfg.seed = bytes_of("chaos-secure");
   cfg.tpm_key_bits = 768;
@@ -407,7 +407,7 @@ TEST(ChaosFullStack, SecureTransportSurvivesCorruptionBothDirections) {
   cfg.client_retry.max_attempts = 12;
   cfg.client_retry.backoff_base = SimDuration::millis(50);
 
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
   pal::HumanAgent agent(devices::HumanModel(perfect_human(), SimRng(12)), "");
   world.client().set_user_agent(&agent);
 
@@ -497,11 +497,11 @@ TEST(ChaosFullStack, Tpm2BackendConfirmsEverythingOverFaultyLink) {
   // The full trusted path on the 2.0 backend under the same fault plan
   // shape as the 1.2 run: faulty link, glitching TPM2 chip, retrying
   // client -- exactly-once must hold regardless of the quote format.
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "chaos-tpm2";
   cfg.seed = bytes_of("chaos-full-stack-tpm2");
   cfg.tpm_key_bits = 1024;
-  cfg.backend = tpm::QuoteFormat::kTpm2;
+  cfg.backend_mix = {tpm::QuoteFormat::kTpm2};
   // Pinned seed: the all-accepted assertion depends on the sampled fault
   // sequence (see file header).
   cfg.net.fault.seed = 0x7432666cull;
@@ -516,7 +516,7 @@ TEST(ChaosFullStack, Tpm2BackendConfirmsEverythingOverFaultyLink) {
   cfg.tpm_faults.transient_prob = 0.05;
   cfg.tpm_faults.max_retries = 10;
 
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
   pal::HumanAgent agent(devices::HumanModel(perfect_human(), SimRng(13)), "");
   world.client().set_user_agent(&agent);
 

@@ -28,7 +28,7 @@
 #include "core/trusted_path_pal.h"
 #include "pal/human_agent.h"
 #include "pal/session.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "util/rng.h"
 
 namespace tp {
@@ -192,13 +192,13 @@ class CorpusBuilder {
   }
 
  private:
-  static sp::Deployment make_world() {
-    sp::DeploymentConfig cfg;
+  static sp::Fleet make_world() {
+    sp::FleetConfig cfg;
     cfg.client_id = "diff-client";
     cfg.seed = bytes_of("differential-world");
     cfg.tpm_key_bits = 768;
     cfg.client_key_bits = 768;
-    return sp::Deployment(cfg);
+    return sp::Fleet(cfg);
   }
 
   static devices::HumanParams human_params() {
@@ -301,7 +301,7 @@ class CorpusBuilder {
     return payload;
   }
 
-  sp::Deployment world_;
+  sp::Fleet world_;
   tpm::PrivacyCa& ca_;
   sp::ServiceProvider gen_;
   pal::SessionDriver driver_;
@@ -352,13 +352,13 @@ CorpusBuilder* DifferentialCorpus::builder_ = nullptr;
 std::vector<Epoch>* DifferentialCorpus::corpus_ = nullptr;
 
 TEST_F(DifferentialCorpus, SequentialReplayMatchesPreRefactorFingerprint) {
-  sp::Deployment ca_world = [] {
-    sp::DeploymentConfig cfg;
+  sp::Fleet ca_world = [] {
+    sp::FleetConfig cfg;
     cfg.client_id = "diff-client";
     cfg.seed = bytes_of("differential-world");
     cfg.tpm_key_bits = 768;
     cfg.client_key_bits = 768;
-    return sp::Deployment(cfg);
+    return sp::Fleet(cfg);
   }();
   sp::ServiceProvider seq(corpus_sp_config(ca_world.ca()));
 
@@ -382,13 +382,13 @@ TEST_F(DifferentialCorpus, SequentialReplayMatchesPreRefactorFingerprint) {
 }
 
 TEST_F(DifferentialCorpus, BatchedReplayIsByteIdenticalToSequential) {
-  sp::Deployment ca_world = [] {
-    sp::DeploymentConfig cfg;
+  sp::Fleet ca_world = [] {
+    sp::FleetConfig cfg;
     cfg.client_id = "diff-client";
     cfg.seed = bytes_of("differential-world");
     cfg.tpm_key_bits = 768;
     cfg.client_key_bits = 768;
-    return sp::Deployment(cfg);
+    return sp::Fleet(cfg);
   }();
   sp::ServiceProvider seq(corpus_sp_config(ca_world.ca()));
   sp::ServiceProvider bat(corpus_sp_config(ca_world.ca()));

@@ -4,11 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "core/trusted_path_pal.h"
+#include "crypto/sha256.h"
 #include "pal/human_agent.h"
 #include "pal/session.h"
-#include "sp/deployment.h"
 #include "sp/fleet.h"
 #include "sp_frames.h"
+#include "tpm/attestation.h"
 
 namespace tp {
 namespace {
@@ -28,6 +29,8 @@ TEST(FleetTest, MixedFleetEnrollsAgainstOneSp) {
   sp::FleetConfig cfg;
   cfg.num_clients = 6;
   cfg.seed = bytes_of("fleet-test");
+  cfg.tpm_key_bits = 768;
+  cfg.client_key_bits = 768;
   cfg.chip_mix = {"Infineon SLB9635", "Broadcom BCM5752"};
   cfg.technology_mix = {drtm::DrtmTechnology::kAmdSkinit,
                         drtm::DrtmTechnology::kIntelTxt};
@@ -47,6 +50,8 @@ TEST(FleetTest, MembersConfirmIndependently) {
   sp::FleetConfig cfg;
   cfg.num_clients = 3;
   cfg.seed = bytes_of("fleet-test-2");
+  cfg.tpm_key_bits = 768;
+  cfg.client_key_bits = 768;
   sp::Fleet fleet(cfg);
   ASSERT_EQ(fleet.enroll_all(), 3u);
 
@@ -67,6 +72,8 @@ TEST(FleetTest, OneMembersKeyUselessToAnother) {
   sp::FleetConfig cfg;
   cfg.num_clients = 2;
   cfg.seed = bytes_of("fleet-test-3");
+  cfg.tpm_key_bits = 768;
+  cfg.client_key_bits = 768;
   sp::Fleet fleet(cfg);
   ASSERT_EQ(fleet.enroll_all(), 2u);
 
@@ -88,6 +95,73 @@ TEST(FleetTest, OneMembersKeyUselessToAnother) {
   EXPECT_EQ(session.value().status.code(), Err::kAuthFail);
 }
 
+// The harness's seed derivations, pinned. A one-member fleet keeps the
+// single-machine derivations: its id is client_id, its platform seed
+// seed + ":platform", its link stream SimRng(0x6e6574 ^ seed size), and
+// the SP's session deadlines run on its platform clock. A larger fleet
+// names member i "<client_id>-<i>", seeds its platform by id and its link
+// by index, and leaves the SP on a timeline of its own. The constants were
+// recorded from the separate single-machine and fleet harnesses that the
+// one harness replaced; the clock after enroll() folds in the link's
+// jitter draws.
+std::uint64_t attestation_key_digest(drtm::Platform& platform) {
+  const Bytes key =
+      platform.backend() == tpm::QuoteFormat::kTpm2
+          ? tpm::AttestationKey::of(platform.tpm2().ak_public()).serialize()
+          : tpm::AttestationKey::of(platform.tpm().aik_public()).serialize();
+  const Bytes digest = crypto::Sha256::hash(key);
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | digest[i];
+  return v;
+}
+
+struct MemberPin {
+  std::string id;
+  std::uint64_t key_digest;
+  std::int64_t clock_ns;  // the platform clock after enroll()
+};
+
+void expect_pinned(sp::Fleet& fleet, const std::vector<MemberPin>& pins) {
+  ASSERT_EQ(fleet.size(), pins.size());
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    ASSERT_TRUE(fleet.client(i).enroll().ok()) << pins[i].id;
+    EXPECT_EQ(fleet.client_id(i), pins[i].id);
+    EXPECT_EQ(attestation_key_digest(fleet.platform(i)), pins[i].key_digest)
+        << pins[i].id;
+    EXPECT_EQ(fleet.platform(i).clock().now().ns, pins[i].clock_ns)
+        << pins[i].id;
+  }
+}
+
+TEST(FleetTest, SeedDerivationsStayPinned) {
+  sp::FleetConfig one;
+  one.client_id = "pinned";
+  one.seed = bytes_of("seed-pin");
+  one.tpm_key_bits = 768;
+  one.client_key_bits = 768;
+  one.backend_mix = {tpm::QuoteFormat::kTpm12};
+  sp::Fleet tpm12(one);
+  expect_pinned(tpm12, {{"pinned", 0xd658930a0a07c9ecull, 880472474}});
+  EXPECT_EQ(tpm12.sp().session_now().ns, 880472474);
+
+  one.backend_mix = {tpm::QuoteFormat::kTpm2};
+  sp::Fleet tpm2(one);
+  expect_pinned(tpm2, {{"pinned", 0xcfbed61053757b4cull, 758730287}});
+  EXPECT_EQ(tpm2.sp().session_now().ns, 758730287);
+
+  sp::FleetConfig three;  // the default "fleet-client" id prefix
+  three.num_clients = 3;
+  three.seed = bytes_of("seed-pin");
+  three.tpm_key_bits = 768;
+  three.client_key_bits = 768;
+  three.backend_mix = {tpm::QuoteFormat::kTpm12, tpm::QuoteFormat::kTpm2};
+  sp::Fleet mixed(three);
+  expect_pinned(mixed, {{"fleet-client-0", 0x1c5de3bf92f44c62ull, 861585123},
+                        {"fleet-client-1", 0xe18003fd6ea930baull, 749177628},
+                        {"fleet-client-2", 0xd169cb1d935e8a32ull, 893378446}});
+  EXPECT_EQ(mixed.sp().session_now().ns, 0);
+}
+
 // --------------------------------------------------------- Spending limit
 
 class SpendingLimitTest : public ::testing::Test {
@@ -99,8 +173,8 @@ class SpendingLimitTest : public ::testing::Test {
     EXPECT_TRUE(world_.client().enroll().ok());
   }
 
-  static sp::DeploymentConfig make_config() {
-    sp::DeploymentConfig cfg;
+  static sp::FleetConfig make_config() {
+    sp::FleetConfig cfg;
     cfg.client_id = "limited";
     cfg.seed = bytes_of("limit-test");
     cfg.tpm_key_bits = 768;
@@ -117,7 +191,7 @@ class SpendingLimitTest : public ::testing::Test {
         summary, bytes_of("p"), amount_cents, limit_cents);
   }
 
-  sp::Deployment world_;
+  sp::Fleet world_;
   pal::HumanAgent agent_;
 };
 

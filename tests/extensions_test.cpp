@@ -9,7 +9,7 @@
 #include "pal/human_agent.h"
 #include "pal/sealed_state.h"
 #include "pal/session.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "sp_frames.h"
 
 namespace tp {
@@ -25,14 +25,14 @@ devices::HumanParams perfect_human() {
   return p;
 }
 
-sp::DeploymentConfig fast_config(const std::string& id,
-                                 DrtmTechnology tech) {
-  sp::DeploymentConfig cfg;
+sp::FleetConfig fast_config(const std::string& id,
+                            DrtmTechnology tech) {
+  sp::FleetConfig cfg;
   cfg.client_id = id;
   cfg.seed = bytes_of("ext-test:" + id);
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
-  cfg.technology = tech;
+  cfg.technology_mix = {tech};
   return cfg;
 }
 
@@ -79,7 +79,7 @@ TEST(IntelTxt, ExitCapsCoverPcr19Too) {
 }
 
 TEST(IntelTxt, EndToEndEnrollAndConfirm) {
-  sp::Deployment world(fast_config("txt-client", DrtmTechnology::kIntelTxt));
+  sp::Fleet world(fast_config("txt-client", DrtmTechnology::kIntelTxt));
   pal::HumanAgent agent(devices::HumanModel(perfect_human(), SimRng(1)),
                         "pay 10 EUR to bob");
   world.client().set_user_agent(&agent);
@@ -105,7 +105,7 @@ TEST(IntelTxt, SpRejectsWrongSinitChain) {
   // A TXT platform with a non-standard (e.g., outdated/forged) SINIT ACM
   // produces a different PCR17 chain: the SP must reject enrollment.
   auto cfg = fast_config("txt-evil", DrtmTechnology::kIntelTxt);
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   // Rebuild the platform with different artifacts than the SP accepts.
   drtm::PlatformConfig pc;
@@ -190,7 +190,7 @@ class BatchTest : public ::testing::Test {
     return txs;
   }
 
-  sp::Deployment world_;
+  sp::Fleet world_;
   pal::HumanAgent agent_;
 };
 

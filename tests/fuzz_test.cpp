@@ -14,7 +14,7 @@
 #include "core/trusted_path_pal.h"
 #include "pal/human_agent.h"
 #include "proto/session_table.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "sp_frames.h"
 #include "store/journal.h"
 #include "store/shard_state.h"
@@ -98,12 +98,12 @@ TEST(Fuzz, MessageDecodersNeverCrash) {
 }
 
 TEST(Fuzz, SpHandlesArbitraryFramesWithoutCrashing) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "fuzz";
   cfg.seed = bytes_of("fuzz-sp");
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
   SimRng rng(202);
 
   for (int i = 0; i < 2000; ++i) {
@@ -164,12 +164,12 @@ TEST(Fuzz, MutatedSealedBlobsNeverUnseal) {
 TEST(Fuzz, MutatedConfirmationsNeverAccepted) {
   // Full-protocol campaign: mutate a VALID TxConfirm wire message and
   // replay it against the SP; nothing mutated may be accepted.
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "victim";
   cfg.seed = bytes_of("fuzz-confirm");
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   devices::HumanParams hp;
   hp.typo_prob = 0.0;

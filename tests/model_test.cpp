@@ -23,7 +23,7 @@
 #include "model/trace.h"
 #include "net/fault.h"
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "sp/service_provider.h"
 
 namespace tp {
@@ -186,13 +186,13 @@ TEST(ModelChecker, CounterexampleReplaysAgainstRealStack) {
   EXPECT_EQ(mapping.script.forced[0].kind,
             static_cast<std::uint8_t>(net::FaultKind::kDuplicate));
 
-  sp::DeploymentConfig world_cfg;
+  sp::FleetConfig world_cfg;
   world_cfg.client_id = "model-replay";
   world_cfg.seed = bytes_of("model-replay");
   world_cfg.tpm_key_bits = 768;
   world_cfg.client_key_bits = 768;
   world_cfg.net.fault.script = mapping.script;
-  sp::Deployment world(world_cfg);
+  sp::Fleet world(world_cfg);
   pal::HumanAgent agent(devices::HumanModel(perfect_human(), SimRng(21)), "");
   world.client().set_user_agent(&agent);
 

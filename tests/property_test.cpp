@@ -15,7 +15,7 @@
 #include "crypto/drbg.h"
 #include "pal/human_agent.h"
 #include "pal/session.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "tpm/tpm_device.h"
 
 namespace tp {
@@ -275,14 +275,14 @@ class ConfirmGrid : public ::testing::TestWithParam<ConfirmCase> {};
 
 TEST_P(ConfirmGrid, HappyPathHoldsEverywhere) {
   const auto& param = GetParam();
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "grid";
-  cfg.chip_name = param.chip;
+  cfg.chip_mix = {param.chip};
   cfg.seed = bytes_of(std::string("grid:") + param.chip +
                       std::to_string(param.code_len));
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   devices::HumanParams hp;
   hp.typo_prob = 0.0;

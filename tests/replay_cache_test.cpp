@@ -8,7 +8,7 @@
 
 #include "core/trusted_path_pal.h"
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "sp/replay_cache.h"
 #include "sp_frames.h"
 
@@ -84,13 +84,13 @@ devices::HumanParams perfect_human() {
 }
 
 TEST(SpReplayBound, MemoryBoundedAndWindowedReplayStillRejected) {
-  DeploymentConfig cfg;
+  FleetConfig cfg;
   cfg.client_id = "alice";
   cfg.seed = bytes_of("replay-bound");
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
   cfg.replay_cache_capacity = 8;  // tiny, to force eviction
-  Deployment world(cfg);
+  Fleet world(cfg);
   pal::HumanAgent agent(devices::HumanModel(perfect_human(), SimRng(7)), "");
   world.client().set_user_agent(&agent);
   ASSERT_TRUE(world.client().enroll().ok());
@@ -143,7 +143,7 @@ TEST(SpReplayBound, MemoryBoundedAndWindowedReplayStillRejected) {
   // confirmations are all rejected: recent ones may hit either defence
   // layer, and even signatures the cache has evicted die at the one-shot
   // challenge map.
-  world.clock().advance(cfg.session_ttl + SimDuration::seconds(1));
+  world.platform().clock().advance(cfg.session_ttl + SimDuration::seconds(1));
   for (const auto& confirm : accepted) {
     EXPECT_FALSE(test::complete_transaction(world.sp(), confirm).accepted);
   }

@@ -14,7 +14,7 @@
 #include "net/channel.h"
 #include "pal/human_agent.h"
 #include "pal/session.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 
 namespace tp {
 namespace {
@@ -75,13 +75,13 @@ TEST(NetPump, PumpChargesBothLegsOfLatency) {
 // -------------------------------------------------------- Lossy links
 
 TEST(LossyLink, ProtocolFailsGracefullyNotCatastrophically) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "lossy";
   cfg.seed = bytes_of("lossy");
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
   cfg.net.loss_prob = 1.0;  // everything drops
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
   auto status = world.client().enroll();
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), Err::kTimeout);
@@ -91,13 +91,13 @@ TEST(LossyLink, ProtocolFailsGracefullyNotCatastrophically) {
 TEST(LossyLink, ModerateLossEventuallySucceedsOnRetry) {
   // The client does not retry internally; the caller does. Model a
   // caller-level retry loop against 40% loss.
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "retry";
   cfg.seed = bytes_of("retry");
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
   cfg.net.loss_prob = 0.4;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
   devices::HumanParams hp;
   hp.typo_prob = 0.0;
   pal::HumanAgent agent(devices::HumanModel(hp, SimRng(7)), "pay 1");
@@ -252,12 +252,12 @@ INSTANTIATE_TEST_SUITE_P(Sizes, RsaSizes, ::testing::Values(512, 768, 1024));
 // --------------------------------- Realistic human, statistical checks
 
 TEST(RealisticHuman, TyposRetryButConfirmEventually) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "realistic";
   cfg.seed = bytes_of("realistic");
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   devices::HumanParams hp;  // default 2% typo rate, 95% attention
   pal::HumanAgent agent(devices::HumanModel(hp, SimRng(55)), "");
@@ -279,12 +279,12 @@ TEST(RealisticHuman, TyposRetryButConfirmEventually) {
 }
 
 TEST(RealisticHuman, SessionTimesVaryButStayHumanScale) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "timing";
   cfg.seed = bytes_of("timing");
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
   devices::HumanParams hp;
   hp.typo_prob = 0.0;
   pal::HumanAgent agent(devices::HumanModel(hp, SimRng(66)), "");
@@ -306,23 +306,23 @@ TEST(RealisticHuman, SessionTimesVaryButStayHumanScale) {
   EXPECT_NE(min_user, max_user);  // the human model actually varies
 }
 
-// -------------------------------------------- Deployment determinism
+// ------------------------------------------ Harness determinism
 
 TEST(Determinism, SameSeedSameOutcomeBytes) {
   auto run = [](const char* seed) {
-    sp::DeploymentConfig cfg;
+    sp::FleetConfig cfg;
     cfg.client_id = "det";
     cfg.seed = bytes_of(seed);
     cfg.tpm_key_bits = 768;
     cfg.client_key_bits = 768;
-    sp::Deployment world(cfg);
+    sp::Fleet world(cfg);
     devices::HumanParams hp;
     hp.typo_prob = 0.0;
     pal::HumanAgent agent(devices::HumanModel(hp, SimRng(1)), "pay 1");
     world.client().set_user_agent(&agent);
     EXPECT_TRUE(world.client().enroll().ok());
     return std::make_pair(world.client().confirmation_pubkey(),
-                          world.clock().now().ns);
+                          world.platform().clock().now().ns);
   };
   const auto a = run("seed-A");
   const auto b = run("seed-A");

@@ -7,7 +7,7 @@
 #include "crypto/drbg.h"
 #include "net/secure_channel.h"
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 
 namespace tp::net {
 namespace {
@@ -244,13 +244,13 @@ TEST(SecureChannel, RecordBeforeHandshakeRejected) {
 // ------------------------------ full protocol over the secure channel
 
 TEST(SecureChannel, TrustedPathRunsOverSecureTransport) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "tls-client";
   cfg.seed = bytes_of("tls-deploy");
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
   cfg.secure_transport = true;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   devices::HumanParams hp;
   hp.typo_prob = 0.0;
@@ -267,19 +267,19 @@ TEST(SecureChannel, TrustedPathRunsOverSecureTransport) {
 }
 
 TEST(SecureChannel, PlaintextFramesBounceOffSecureSp) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "tls-client";
   cfg.seed = bytes_of("tls-deploy-2");
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
   cfg.secure_transport = true;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
 
   // A naive attacker speaks the plaintext protocol at a secure SP.
-  world.client_endpoint().send(core::envelope(
+  world.endpoint().send(core::envelope(
       core::MsgType::kEnrollBegin,
       core::EnrollBegin{"mallory"}.serialize()));
-  auto reply = world.client_endpoint().receive();
+  auto reply = world.endpoint().receive();
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(string_of(reply.value()), "!rejected");
   EXPECT_GT(world.secure_server()->records_rejected(), 0u);

@@ -11,7 +11,7 @@
 #include "host/adversary.h"
 #include "pal/human_agent.h"
 #include "pal/session.h"
-#include "sp/deployment.h"
+#include "sp/fleet.h"
 #include "tpm/chip_profile.h"
 
 namespace tp {
@@ -28,13 +28,13 @@ devices::HumanParams perfect_human() {
 // under test is TPM-dominated machine time, which key size barely moves).
 pal::SessionTiming confirm_timing(const std::string& chip,
                                   std::size_t payload = 256) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "shape";
-  cfg.chip_name = chip;
+  cfg.chip_mix = {chip};
   cfg.seed = bytes_of("shape:" + chip + std::to_string(payload));
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
   pal::HumanAgent agent(devices::HumanModel(perfect_human(), SimRng(1)),
                         "pay");
   world.client().set_user_agent(&agent);
@@ -78,13 +78,13 @@ TEST(ShapeT2, ChipOrderingMatchesUnsealCost) {
 
 TEST(ShapeT3, EnrollmentCostsMoreThanConfirmation) {
   for (const auto& chip : tpm::standard_chips()) {
-    sp::DeploymentConfig cfg;
+    sp::FleetConfig cfg;
     cfg.client_id = "shape";
-    cfg.chip_name = chip.name;
+    cfg.chip_mix = {chip.name};
     cfg.seed = bytes_of("shape-t3:" + chip.name);
     cfg.tpm_key_bits = 768;
     cfg.client_key_bits = 768;
-    sp::Deployment world(cfg);
+    sp::Fleet world(cfg);
     core::PalEnrollInput in;
     in.nonce = Bytes(20, 1);
     in.key_bits = 768;
@@ -112,12 +112,12 @@ TEST(ShapeF1, MachineTimeFlatAcrossPayloadSizes) {
 
 TEST(ShapeA1, BatchingAmortizesRoughlyLinearly) {
   auto per_tx = [](std::size_t n) {
-    sp::DeploymentConfig cfg;
+    sp::FleetConfig cfg;
     cfg.client_id = "shape";
     cfg.seed = bytes_of("shape-a1:" + std::to_string(n));
     cfg.tpm_key_bits = 768;
     cfg.client_key_bits = 768;
-    sp::Deployment world(cfg);
+    sp::Fleet world(cfg);
     std::vector<core::TrustedPathClient::BatchTx> txs;
     std::vector<core::BatchItem> preview;
     for (std::size_t i = 0; i < n; ++i) {
@@ -141,16 +141,16 @@ TEST(ShapeA1, BatchingAmortizesRoughlyLinearly) {
 // ---- F2 shapes ---------------------------------------------------------
 
 TEST(ShapeF2, MechanicalAttacksNeverGetThrough) {
-  sp::DeploymentConfig cfg;
+  sp::FleetConfig cfg;
   cfg.client_id = "victim";
   cfg.seed = bytes_of("shape-f2");
   cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 768;
-  sp::Deployment world(cfg);
+  sp::Fleet world(cfg);
   pal::HumanAgent agent(devices::HumanModel(perfect_human(), SimRng(3)), "");
   world.client().set_user_agent(&agent);
   ASSERT_TRUE(world.client().enroll().ok());
-  host::MalwareKit malware(world.platform(), world.client_endpoint(),
+  host::MalwareKit malware(world.platform(), world.endpoint(),
                            "victim", world.client().sealed_key_blob(),
                            SimRng(31337));
   for (int i = 0; i < 5; ++i) {

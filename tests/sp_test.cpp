@@ -9,7 +9,6 @@
 #include "core/trusted_path_pal.h"
 #include "crypto/p256.h"
 #include "pal/human_agent.h"
-#include "sp/deployment.h"
 #include "sp/fleet.h"
 #include "sp_frames.h"
 
@@ -26,8 +25,8 @@ devices::HumanParams perfect_human() {
   return p;
 }
 
-DeploymentConfig fast_config(const std::string& id = "alice") {
-  DeploymentConfig cfg;
+FleetConfig fast_config(const std::string& id = "alice") {
+  FleetConfig cfg;
   cfg.client_id = id;
   cfg.seed = bytes_of("sp-test:" + id);
   cfg.tpm_key_bits = 768;
@@ -51,7 +50,7 @@ class EndToEndTest : public ::testing::Test {
     return world_.client().submit_transaction(summary, bytes_of("payload"));
   }
 
-  Deployment world_;
+  Fleet world_;
   pal::HumanAgent agent_;
 };
 
@@ -116,7 +115,7 @@ TEST_F(EndToEndTest, SessionTimingIsPlausible) {
 // ---------------------------------------------------- Verifier edge cases
 
 TEST(ServiceProviderTest, RejectsEnrollmentWithoutChallenge) {
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   core::EnrollComplete msg;
   msg.client_id = "stranger";
   const auto result = test::complete_enrollment(world.sp(), msg);
@@ -126,7 +125,7 @@ TEST(ServiceProviderTest, RejectsEnrollmentWithoutChallenge) {
 }
 
 TEST(ServiceProviderTest, RejectsForgedCaCertificate) {
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   // A certificate signed by a rogue CA.
   tpm::PrivacyCa rogue(bytes_of("rogue-ca"), 768);
   const auto cert =
@@ -148,7 +147,7 @@ TEST(ServiceProviderTest, RejectsForgedCaCertificate) {
 TEST(ServiceProviderTest, RejectsQuoteFromTamperedPal) {
   // Full pipeline, but the quote comes from a session of a DIFFERENT PAL
   // image: PCR17 != golden.
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   auto& platform = world.platform();
 
   const auto challenge =
@@ -181,7 +180,7 @@ TEST(ServiceProviderTest, RejectsQuoteFromTamperedPal) {
 
 TEST(ServiceProviderTest, RejectsQuoteBoundToWrongNonce) {
   // Replay a quote produced under an older challenge.
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   auto& platform = world.platform();
 
   // Legit PAL run bound to nonce A...
@@ -209,7 +208,7 @@ TEST(ServiceProviderTest, RejectsQuoteBoundToWrongNonce) {
 }
 
 TEST(ServiceProviderTest, TxChallengesAreOneShot) {
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   devices::HumanParams hp = perfect_human();
   pal::HumanAgent agent(devices::HumanModel(hp, SimRng(3)), "pay 5");
   world.client().set_user_agent(&agent);
@@ -232,7 +231,8 @@ TEST(ServiceProviderTest, TxChallengesAreOneShot) {
   EXPECT_FALSE(held.accepted);
   EXPECT_EQ(held.code, proto::RejectCode::kRetryMismatch);
 
-  world.clock().advance(SimDuration::seconds(121));  // past session_ttl
+  // Past session_ttl.
+  world.platform().clock().advance(SimDuration::seconds(121));
   const auto result = test::complete_transaction(world.sp(), stale);
   EXPECT_FALSE(result.accepted);
   EXPECT_EQ(result.reason, "unknown or already-settled transaction");
@@ -241,7 +241,7 @@ TEST(ServiceProviderTest, TxChallengesAreOneShot) {
 }
 
 TEST(ServiceProviderTest, RejectsClientMismatch) {
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   const auto challenge = test::begin_transaction(
       world.sp(), core::TxSubmit{"alice", "pay 5", bytes_of("p")});
   core::TxConfirm msg;
@@ -256,7 +256,7 @@ TEST(ServiceProviderTest, RejectsClientMismatch) {
 }
 
 TEST(ServiceProviderTest, RejectsUnenrolledClient) {
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   const auto challenge = test::begin_transaction(
       world.sp(), core::TxSubmit{"nobody", "pay 5", bytes_of("p")});
   core::TxConfirm msg;
@@ -270,7 +270,7 @@ TEST(ServiceProviderTest, RejectsUnenrolledClient) {
 }
 
 TEST(ServiceProviderTest, NonConfirmedVerdictsRejected) {
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   pal::HumanAgent agent(
       devices::HumanModel(perfect_human(), SimRng(3)), "x");
   world.client().set_user_agent(&agent);
@@ -288,7 +288,7 @@ TEST(ServiceProviderTest, NonConfirmedVerdictsRejected) {
 }
 
 TEST(ServiceProviderTest, MalformedFramesAnsweredNotCrashed) {
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   (void)world.sp().handle_frame(Bytes{});
   (void)world.sp().handle_frame(Bytes{0xff, 0x01});
   (void)world.sp().handle_frame(Bytes{0x05});  // TxSubmit with no body
@@ -299,7 +299,7 @@ TEST(ServiceProviderTest, MalformedFramesAnsweredNotCrashed) {
 }
 
 TEST(ServiceProviderTest, StatsTrackRejectCodes) {
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   core::EnrollComplete msg;
   msg.client_id = "ghost";
   (void)test::complete_enrollment(world.sp(), msg);
@@ -313,7 +313,7 @@ TEST(ServiceProviderTest, StatsTrackRejectCodes) {
 TEST(ServiceProviderTest, ReEnrollmentCountsTheClientOnce) {
   // A client that enrolls again replaces its key; `enrolled` and its
   // per-format slice count clients, not accepted enrollments.
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   ASSERT_TRUE(world.client().enroll().ok());
   ASSERT_TRUE(world.client().enroll().ok());
   const SpStats stats = world.sp().stats();
@@ -323,7 +323,7 @@ TEST(ServiceProviderTest, ReEnrollmentCountsTheClientOnce) {
 }
 
 TEST(ServiceProviderTest, StatsResetGivesCleanPhaseMeasurements) {
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   core::EnrollComplete msg;
   msg.client_id = "ghost";
   (void)test::complete_enrollment(world.sp(), msg);
@@ -361,15 +361,15 @@ TEST(ServiceProviderTest, SessionExpiresOnDeploymentClock) {
   // retransmission screen collects the expired slot before the gate
   // sees it, so the reply is the generic no-session reject (the bytes
   // the differential goldens pin), while the expiry is counted.
-  DeploymentConfig cfg = fast_config();
+  FleetConfig cfg = fast_config();
   cfg.session_ttl = SimDuration::seconds(30);
-  Deployment world(cfg);
+  Fleet world(cfg);
 
   const auto challenge = test::begin_transaction(
       world.sp(), core::TxSubmit{"alice", "pay 5", bytes_of("p")});
   EXPECT_EQ(world.sp().session_table_occupancy(), 1u);
 
-  world.clock().advance(SimDuration::seconds(31));
+  world.platform().clock().advance(SimDuration::seconds(31));
   core::TxConfirm msg;
   msg.client_id = "alice";
   msg.tx_id = challenge.tx_id;
@@ -385,7 +385,7 @@ TEST(ServiceProviderTest, SessionExpiresOnDeploymentClock) {
 TEST(ServiceProviderTest, EnrollSessionsBoundedPerClient) {
   // One client re-sending EnrollBegin occupies exactly one slot, however
   // often it begins.
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   for (int i = 0; i < 100; ++i) {
     (void)test::begin_enrollment(world.sp(), core::EnrollBegin{"alice"});
   }
@@ -394,9 +394,9 @@ TEST(ServiceProviderTest, EnrollSessionsBoundedPerClient) {
 }
 
 TEST(ServiceProviderTest, TxSessionsEvictOldestUnderPressure) {
-  DeploymentConfig cfg = fast_config();
+  FleetConfig cfg = fast_config();
   cfg.tx_session_capacity = 8;
-  Deployment world(cfg);
+  Fleet world(cfg);
   const std::size_t flat = world.sp().session_table_memory_bytes();
   core::TxChallenge first;
   for (int i = 0; i < 100; ++i) {
@@ -431,6 +431,7 @@ TEST(ServiceProviderTest, MemoryBytesGrowByPerClientBytesPerFormat) {
   FleetConfig cfg;
   cfg.num_clients = 2 * kPerFormat;  // "fleet-client-0" .. "fleet-client-5"
   cfg.seed = bytes_of("sp-test:memory");
+  cfg.tpm_key_bits = 768;
   cfg.client_key_bits = 2048;  // the deployed confirmation-key size
   cfg.backend_mix = {tpm::QuoteFormat::kTpm12, tpm::QuoteFormat::kTpm2};
   Fleet fleet(cfg);
@@ -467,7 +468,7 @@ TEST(ServiceProviderTest, MemoryBytesGrowByPerClientBytesPerFormat) {
 
 TEST(ServiceProviderTest, ResultsCarryTypedCodeOnTheWire) {
   // The u8 code survives serialize/deserialize next to the legacy reason.
-  Deployment world(fast_config());
+  Fleet world(fast_config());
   core::TxConfirm confirm;
   confirm.client_id = "ghost";
   confirm.tx_id = 99;
