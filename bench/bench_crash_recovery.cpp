@@ -225,7 +225,8 @@ void overhead_row(const char* path, double plain_tps, double durable_tps) {
 // ----------------------------------------------- recovery vs journal size
 
 /// Fills a journal with `total_tx` signature-free transactions
-/// (2 records each: tx_begin + tx_settle), compaction disabled.
+/// (2 delta records each: the TxSubmit and the TxConfirm), compaction
+/// disabled.
 void populate_raw_journal(store::StorageBackend& backend,
                           std::size_t total_tx) {
   store::DurableLogConfig log_config;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 
 #include "core/trusted_path_pal.h"
@@ -516,71 +515,16 @@ void ServiceProvider::commit_journal() {
   }
 }
 
-void ServiceProvider::journal_enroll_begin(
-    const proto::SessionTable::Key& key) {
-  if (config_.durable == nullptr) return;
-  const proto::SessionTable::Session* session =
-      enroll_sessions_.find(key, session_now());
-  if (session == nullptr) return;
-  config_.durable->stage(
-      store::RecordType::kEnrollBegin,
-      store::enroll_begin_body(session_now().ns, key, *session));
-}
-
-void ServiceProvider::journal_enroll_settle(
-    const proto::SessionTable::Key& key, const std::string& client_id) {
-  if (config_.durable == nullptr) return;
-  const proto::SessionTable::Session* session =
-      enroll_sessions_.find(key, session_now());
-  if (session == nullptr) return;
-  Bytes key_blob;  // empty = enrollment rejected, only the session settles
-  const auto& enrolled = crypto_.contexts();
-  if (auto it = enrolled.find(client_id); it != enrolled.end()) {
-    key_blob = it->second.key().serialize();
-  }
-  config_.durable->stage(
-      store::RecordType::kEnrollSettle,
-      store::enroll_settle_body(session_now().ns, key, *session, client_id,
-                                key_blob));
-}
-
-void ServiceProvider::journal_tx_begin(std::uint64_t tx_id,
-                                       const SubmitDedup& slot) {
-  if (config_.durable == nullptr) return;
-  const proto::SessionTable::Key key = proto::SessionTable::tx_key(tx_id);
-  const proto::SessionTable::Session* session =
-      tx_sessions_.find(key, session_now());
-  if (session == nullptr) return;
-  const store::DedupRow row{slot.client, slot.digest, slot.tx_id};
-  config_.durable->stage(
-      store::RecordType::kTxBegin,
-      store::tx_begin_body(session_now().ns, key, *session, next_tx_id_,
-                           &row));
-}
-
-void ServiceProvider::journal_tx_settle(std::uint64_t tx_id,
-                                        const core::TxConfirm& msg,
-                                        bool accepted) {
-  if (config_.durable == nullptr) return;
-  const proto::SessionTable::Key key = proto::SessionTable::tx_key(tx_id);
-  const proto::SessionTable::Session* session =
-      tx_sessions_.find(key, session_now());
-  if (session == nullptr) return;
-  // The digest rides in the settle record (not a record of its own) so a
-  // torn write can never persist "digest seen" without "session settled"
-  // -- which would turn the client's retransmit into a permanent
-  // kSigReplay reject. `accepted && contains` is exactly "this settle
-  // recorded the signature": the screen rejects replayed signatures
-  // before accept, so a pre-existing digest can't satisfy both.
-  std::optional<store::ReplayDigest> digest;
-  if (accepted && seen_signatures_.contains(msg.signature)) {
-    digest = ReplayCache::digest_of(msg.signature);
-  }
-  config_.durable->stage(
-      store::RecordType::kTxSettle,
-      store::tx_settle_body(session_now().ns, key, *session, next_tx_id_,
-                            c_tx_accepted_->value(),
-                            digest.has_value() ? &*digest : nullptr));
+template <typename Fill>
+void ServiceProvider::journal(const proto::SessionTable::Session* session,
+                              Fill&& fill) {
+  if (config_.durable == nullptr || session == nullptr) return;
+  store::ShardState delta;
+  fill(delta);
+  delta.source_now_ns = session_now().ns;
+  delta.next_tx_id = next_tx_id_;
+  delta.tx_accepted_total = c_tx_accepted_->value();
+  config_.durable->stage(delta);
 }
 
 std::size_t ServiceProvider::submit_dedup_index(
@@ -661,8 +605,12 @@ Bytes ServiceProvider::process_frame(BytesView frame) {
       }
       const Bytes resp = envelope(MsgType::kEnrollChallenge,
                                   begin_enrollment(msg.value()).serialize());
-      cache_response(enroll_sessions_.find(key, session_now()), digest, resp);
-      journal_enroll_begin(key);
+      proto::SessionTable::Session* session =
+          enroll_sessions_.find(key, session_now());
+      cache_response(session, digest, resp);
+      journal(session, [&](store::ShardState& delta) {
+        delta.enroll_sessions.push_back({key, *session});
+      });
       return resp;
     }
     case MsgType::kEnrollComplete: {
@@ -692,8 +640,19 @@ Bytes ServiceProvider::process_frame(BytesView frame) {
       }
       const Bytes resp = envelope(MsgType::kEnrollResult,
                                   complete_enrollment(msg.value()).serialize());
-      cache_response(enroll_sessions_.find(key, session_now()), digest, resp);
-      journal_enroll_settle(key, msg.value().client_id);
+      proto::SessionTable::Session* session =
+          enroll_sessions_.find(key, session_now());
+      cache_response(session, digest, resp);
+      journal(session, [&](store::ShardState& delta) {
+        delta.enroll_sessions.push_back({key, *session});
+        // The key rides whenever the client holds a verify context after
+        // the settle; a rejected first enrollment settles only its session.
+        const auto& enrolled = crypto_.contexts();
+        if (auto it = enrolled.find(msg.value().client_id);
+            it != enrolled.end()) {
+          delta.enrolled.push_back({it->first, it->second.key().serialize()});
+        }
+      });
       return resp;
     }
     case MsgType::kTxSubmit: {
@@ -723,12 +682,16 @@ Bytes ServiceProvider::process_frame(BytesView frame) {
       }
       const TxChallenge challenge = begin_transaction(msg.value());
       const Bytes resp = envelope(MsgType::kTxChallenge, challenge.serialize());
-      cache_response(
-          tx_sessions_.find(proto::SessionTable::tx_key(challenge.tx_id),
-                            session_now()),
-          digest, resp);
+      const proto::SessionTable::Key key =
+          proto::SessionTable::tx_key(challenge.tx_id);
+      proto::SessionTable::Session* session =
+          tx_sessions_.find(key, session_now());
+      cache_response(session, digest, resp);
       slot = SubmitDedup{clientk, digest, challenge.tx_id, 1};
-      journal_tx_begin(challenge.tx_id, slot);
+      journal(session, [&](store::ShardState& delta) {
+        delta.tx_sessions.push_back({key, *session});
+        delta.dedup.push_back({clientk, digest, challenge.tx_id});
+      });
       return resp;
     }
     case MsgType::kTxConfirm: {
@@ -759,8 +722,22 @@ Bytes ServiceProvider::process_frame(BytesView frame) {
       }
       const TxResult result = complete_transaction(msg.value());
       const Bytes resp = envelope(MsgType::kTxResult, result.serialize());
-      cache_response(tx_sessions_.find(key, session_now()), digest, resp);
-      journal_tx_settle(msg.value().tx_id, msg.value(), result.accepted);
+      proto::SessionTable::Session* session =
+          tx_sessions_.find(key, session_now());
+      cache_response(session, digest, resp);
+      journal(session, [&](store::ShardState& delta) {
+        delta.tx_sessions.push_back({key, *session});
+        // The digest rides in the settle's own record so a torn write can
+        // never persist "digest seen" without "session settled" -- which
+        // would turn the client's retransmit into a permanent kSigReplay
+        // reject. `accepted && contains` is exactly "this settle recorded
+        // the signature": the screen rejects replayed signatures before
+        // accept, so a pre-existing digest can't satisfy both.
+        const BytesView signature = msg.value().signature;
+        if (result.accepted && seen_signatures_.contains(signature)) {
+          delta.replay_digests.push_back(ReplayCache::digest_of(signature));
+        }
+      });
       return resp;
     }
     default:

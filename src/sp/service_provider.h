@@ -133,14 +133,16 @@ struct SpConfig {
   /// uses), restores the cumulative accept and enrolled counters,
   /// publishes sp.recovery.* metrics, and reseeds the nonce stream so a
   /// restarted shard never reuses a pre-crash nonce. Afterwards every
-  /// frame that mutates durable state (enroll admitted, tx settled +
-  /// cached reply, replay digest, dedup row) stages exactly one record,
-  /// and each handle_frame / handle_frame_batch call commits its staged
-  /// records in one backend append (one write + one fdatasync on
-  /// FileBackend) BEFORE it returns any reply -- the write-ahead
-  /// contract that makes an acked operation survive process death, paid
-  /// once per call rather than once per record. The caller owns the log
-  /// and its backend, and must not share one log between SPs.
+  /// frame that mutates durable state stages exactly one record: a
+  /// store::ShardState delta holding the session it cached its reply in
+  /// plus the enrolled key, dedup row or replay digest it added, and the
+  /// tx-id and accept counters. Each handle_frame / handle_frame_batch
+  /// call commits its staged records in one backend append (one write +
+  /// one fdatasync on FileBackend) BEFORE it returns any reply -- the
+  /// write-ahead contract that makes an acked operation survive process
+  /// death, paid once per call rather than once per record. The caller
+  /// owns the log and its backend, and must not share one log between
+  /// SPs.
   store::DurableLog* durable = nullptr;
 };
 
@@ -382,17 +384,16 @@ class ServiceProvider {
   core::TxChallenge begin_transaction(const core::TxSubmit& msg);
   core::TxResult complete_transaction(const core::TxConfirm& msg);
 
-  // Write-ahead records, one per durable frame, staged after the frame's
-  // reply is cached. Nothing reaches storage until commit_journal() at
-  // the end of the handle_frame / handle_frame_batch call, which runs
-  // before the call returns any reply. All no-ops when
-  // config_.durable == nullptr.
-  void journal_enroll_begin(const proto::SessionTable::Key& key);
-  void journal_enroll_settle(const proto::SessionTable::Key& key,
-                             const std::string& client_id);
-  void journal_tx_begin(std::uint64_t tx_id, const SubmitDedup& slot);
-  void journal_tx_settle(std::uint64_t tx_id, const core::TxConfirm& msg,
-                         bool accepted);
+  /// Stages the frame's write-ahead record, once its reply is cached in
+  /// `session`: a store::ShardState delta that `fill` loads with what
+  /// the frame changed, stamped with the counters every delta carries.
+  /// Nothing reaches storage until commit_journal() at the end of the
+  /// handle_frame / handle_frame_batch call, which runs before the call
+  /// returns any reply. Builds no delta when config_.durable == nullptr,
+  /// or when the frame left no session (a completion that found none
+  /// changed no durable state).
+  template <typename Fill>
+  void journal(const proto::SessionTable::Session* session, Fill&& fill);
   /// Commits the call's staged records in one backend append, then
   /// compacts when the journal crossed its configured size threshold.
   /// May throw store::CrashInjected (fault-injecting backends) or

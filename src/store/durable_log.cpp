@@ -48,9 +48,8 @@ Result<ShardState> DurableLog::recover() {
       // A framed record whose body will not parse is corruption of the
       // same kind the CRC catches; keep the prefix applied so far.
       stats_.had_corruption = true;
-      stats_.corruption = std::string("journal record body (") +
-                          record_type_name(record.type) +
-                          ", seq " + std::to_string(record.seq) +
+      stats_.corruption = "journal record body (seq " +
+                          std::to_string(record.seq) +
                           "): " + st.error().message;
       break;
     }
@@ -81,6 +80,10 @@ Result<ShardState> DurableLog::recover() {
 void DurableLog::stage(RecordType type, BytesView body) {
   tp::append(staged_, encode_record(next_seq_ + staged_records_, type, body));
   ++staged_records_;
+}
+
+void DurableLog::stage(const ShardState& delta) {
+  stage(RecordType::kShardDelta, encode_shard_delta(delta));
 }
 
 void DurableLog::commit() {

@@ -10,12 +10,14 @@
 //   - stage() frames one record with the seq it will get and buffers
 //     it; commit() hands every staged record to the backend in ONE
 //     append_journal call (one write + one fdatasync on FileBackend),
-//     durable before return. The ServiceProvider stages a record per
-//     mutating frame and commits once per handle_frame /
-//     handle_frame_batch call, before any of the call's replies is
-//     released -- that ordering IS the write-ahead contract, and one
-//     sync per drained batch is the group commit. append() is
-//     stage + commit for a single record.
+//     durable before return. The ServiceProvider hands stage() one
+//     ShardState delta per mutating frame -- the record body is that
+//     delta in the snapshot's body codec, so the SP never sees a record
+//     layout -- and commits once per handle_frame / handle_frame_batch
+//     call, before any of the call's replies is released. That ordering
+//     IS the write-ahead contract, and one sync per drained batch is the
+//     group commit. append() is stage + commit for a single
+//     already-encoded record.
 //   - compact() replaces snapshot+journal with the current state. The
 //     crash window between write_snapshot and reset_journal is safe:
 //     the snapshot carries last_seq and replay skips covered records.
@@ -76,6 +78,9 @@ class DurableLog {
   /// Frames one record with the seq it will get once committed and adds
   /// it to the pending batch. Nothing reaches the backend yet.
   void stage(RecordType type, BytesView body);
+  /// Stages `delta` (what one frame changed) as one kShardDelta record;
+  /// its last_seq is ignored, the record's seq takes its place.
+  void stage(const ShardState& delta);
 
   /// Persists every staged record with ONE backend append_journal call;
   /// durable before return, a no-op when nothing is staged. The batch is

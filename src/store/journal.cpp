@@ -92,7 +92,7 @@ JournalDecode decode_journal(BytesView data) {
     JournalRecord record;
     record.seq = reader.u64().value();
     const std::uint8_t tag = reader.u8().value();
-    if (!record_type_known(tag)) {
+    if (tag != static_cast<std::uint8_t>(RecordType::kShardDelta)) {
       out.corruption = JournalCorruption{out.records.size(), pos,
                                          JournalFault::kBadType};
       break;

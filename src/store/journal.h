@@ -5,6 +5,10 @@
 //   [u32 payload_len][u32 crc32c(payload)][payload]
 //   payload = [u64 seq][u8 type][body...]
 //
+// The body is one frame's ShardState delta in the one serialized form
+// of shard state (encode_shard_delta in store/shard_state.h); this
+// layer frames it and never looks inside.
+//
 // `seq` is a per-shard monotone counter; the snapshot records the last
 // seq it covers, so a replay after "snapshot written but journal not yet
 // truncated" (the compaction crash window) skips the already-captured
@@ -38,46 +42,17 @@
 
 namespace tp::store {
 
-/// Journal record kinds. One frame handled by the SP emits exactly one
+/// Journal record kinds. There is one: a record's body is a ShardState
+/// delta in the snapshot's body codec (store/shard_state.h), holding
+/// what one frame changed. One frame handled by the SP emits exactly one
 /// record, so a torn write can never persist half a frame's correlated
 /// mutations (e.g. a replay digest without its settled session — which
-/// would turn a retransmit into a permanent kSigReplay reject).
+/// would turn a retransmit into a permanent kSigReplay reject). The tag
+/// is new with the single kind: a record written under the retired
+/// per-mutation tags (1–6) decodes as kBadType, never as a delta.
 enum class RecordType : std::uint8_t {
-  /// Enrollment challenge issued: enroll session upserted (with the
-  /// cached challenge reply, so a retransmit after recovery is
-  /// byte-identical).
-  kEnrollBegin = 1,
-  /// Enrollment settled: terminal enroll session plus, when admitted,
-  /// the client id and serialized attestation key.
-  kEnrollSettle = 2,
-  /// Transaction challenge issued: tx session, advanced tx-id counter
-  /// and the SubmitDedup row that maps the submission back to its tx.
-  kTxBegin = 3,
-  /// Transaction settled: terminal tx session, accept counter, and the
-  /// replay-cache digest when the confirmation signature was recorded.
-  kTxSettle = 4,
-  /// Standalone replay-cache digest (import/backfill paths).
-  kReplayDigest = 5,
-  /// Standalone dedup row (import/backfill paths).
-  kDedupRow = 6,
+  kShardDelta = 7,
 };
-
-constexpr const char* record_type_name(RecordType t) {
-  switch (t) {
-    case RecordType::kEnrollBegin: return "enroll_begin";
-    case RecordType::kEnrollSettle: return "enroll_settle";
-    case RecordType::kTxBegin: return "tx_begin";
-    case RecordType::kTxSettle: return "tx_settle";
-    case RecordType::kReplayDigest: return "replay_digest";
-    case RecordType::kDedupRow: return "dedup_row";
-  }
-  return "unknown";
-}
-
-constexpr bool record_type_known(std::uint8_t tag) {
-  return tag >= static_cast<std::uint8_t>(RecordType::kEnrollBegin) &&
-         tag <= static_cast<std::uint8_t>(RecordType::kDedupRow);
-}
 
 /// Largest accepted payload. Real records are a few hundred bytes; the
 /// bound keeps a corrupt length field from driving a giant allocation.
@@ -85,7 +60,7 @@ constexpr std::size_t kMaxRecordPayload = 1u << 20;  // 1 MiB
 
 struct JournalRecord {
   std::uint64_t seq = 0;
-  RecordType type = RecordType::kEnrollBegin;
+  RecordType type = RecordType::kShardDelta;
   Bytes body;
 };
 

@@ -1,32 +1,42 @@
-// ShardState: one serialization for everything a verifier shard must
-// not forget, shared by crash recovery and shard handoff.
+// ShardState: the one serialized form of everything a verifier shard
+// must not forget, shared by crash recovery and shard handoff.
 //
 // The durable-state vocabulary: enroll/tx sessions (with their cached
 // idempotent replies), enrolled attestation keys, replay-cache digests
-// and SubmitDedup rows. Shard handoff and crash recovery move exactly
-// this set, so it is one type with a byte format and two producers: a
-// snapshot (the whole ShardState, CRC-sealed) and journal record bodies
-// (one frame's worth of deltas). Recovery = deserialize snapshot, then
-// fold journal records into it via ShardStateBuilder; a handoff is
+// and SubmitDedup rows, plus three counters. Shard handoff and crash
+// recovery move exactly this set, so it is one type with one byte
+// format, its body, inside two seals:
+//
+//   - a snapshot: [u32 magic][u16 version][u64 last_seq][body][u32 crc32c],
+//     the whole state (serialize_shard_state);
+//   - a journal record: [u32 len][u32 crc32c][u64 seq][u8 type][body]
+//     (store/journal.h), a delta holding only what one SP frame changed.
+//
+// Recovery = deserialize the snapshot, then merge every journal delta
+// into it via ShardStateBuilder; a handoff is
 // ServiceProvider::extract_for_handoff. Either result feeds the one
 // ServiceProvider::import_state.
 //
-// Invariants the builder maintains:
-//   - Sessions materialize in ascending (deadline, arrival) order -- the
-//     order SessionTable::restore() wants so LRU order == deadline order
-//     survives recovery. A session's arrival token is armed by its
-//     begin-type record and kept by its settle (settling does not
-//     re-arm the eviction clock, matching the live table).
-//   - Records are idempotent: a duplicated record (same seq) is skipped,
-//     and records already covered by the snapshot (seq <= last_seq) are
-//     skipped, which is what makes the compaction crash window
-//     ("snapshot written, journal not yet truncated") safe.
-//   - Counters (next_tx_id, tx_accepted_total, source_now) max-merge, so
-//     replaying any suffix of history lands on the final value.
-//   - Dedup rows come out in journal order, one per (client, digest) key,
-//     at that key's LAST write: restore replays them into the SP's
-//     direct-mapped dedup table, where the last write to a slot must win
-//     over every row that collided with it earlier.
+// The builder's one merge, used for the snapshot and for every record:
+//   - Sessions upsert by key and materialize in ascending (deadline,
+//     arrival) order -- the order SessionTable::restore() wants so LRU
+//     order == deadline order survives recovery. A session takes a fresh
+//     arrival position when it is new or arrives in kChallengeSent: only
+//     SessionTable::begin writes that state, and begin moves the slot to
+//     the LRU back. A settled session (kDone / kFailed) keeps the
+//     position its begin gave it, as in the live table.
+//   - Enrolled clients insert or replace by id.
+//   - Replay digests: the first copy wins, FIFO order.
+//   - Dedup rows come out one per (client, digest) key, at that key's
+//     LAST write: restore replays them into the SP's direct-mapped dedup
+//     table, where the last write to a slot must win over every row that
+//     collided with it earlier.
+//   - Counters (source_now_ns, next_tx_id, tx_accepted_total) max-merge,
+//     so replaying any suffix of history lands on the final value.
+// Records are idempotent: one with seq <= the snapshot's last_seq or
+// <= the last applied seq is skipped, which is what makes the
+// compaction crash window ("snapshot written, journal not yet
+// truncated") safe.
 //
 // Enrolled keys are carried as opaque serialized-AttestationKey blobs:
 // the store layer never parses them, so it depends on proto (session
@@ -37,6 +47,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "proto/session_table.h"
@@ -89,44 +100,46 @@ struct ShardState {
   }
 };
 
-/// Snapshot codec: versioned, CRC32-C sealed. deserialize returns a
-/// typed error (kCryptoError for CRC/magic damage, kInvalidArgument for
-/// structural damage) rather than ever trusting corrupt bytes.
+/// A journal record body: `delta` (what one frame changed) in the body
+/// codec, the one serialized form of shard state, which the snapshot
+/// seals too. Body layout:
+///
+///   [u64 source_now_ns][u64 next_tx_id][u64 tx_accepted_total]
+///   then five u32-counted lists: enroll sessions, tx sessions, enrolled
+///   clients (u32-prefixed id and key blob), replay digests (16 B), dedup
+///   rows (client, digest, u64 tx id).
+///
+/// A session is its key, state, deadline, client tag, u8 nonce length +
+/// nonce, tx digest, request digest and u16 response length + cached
+/// response; nonce and response are written by length, not as their
+/// fixed-size arrays. last_seq is not part of the body: the snapshot
+/// seal and the record frame carry the seq.
+Bytes encode_shard_delta(const ShardState& delta);
+
+/// Snapshot codec: the body inside a versioned, CRC32-C seal.
+/// deserialize returns a typed error rather than ever trusting corrupt
+/// bytes: kCryptoError for CRC or magic damage, kUnsupported for another
+/// version (no older snapshot is read back), kInvalidArgument for
+/// structural damage, a short blob included.
 Bytes serialize_shard_state(const ShardState& state);
 Result<ShardState> deserialize_shard_state(BytesView blob);
 
-/// Journal record bodies (the payload after the seq+type header). Every
-/// body leads with the shard's virtual-clock position so recovery can
-/// re-arm deadlines against the clock the sessions were created under.
-Bytes enroll_begin_body(std::int64_t now_ns, const SessionKey& key,
-                        const proto::SessionTable::Session& session);
-Bytes enroll_settle_body(std::int64_t now_ns, const SessionKey& key,
-                         const proto::SessionTable::Session& session,
-                         std::string_view client_id, BytesView key_blob);
-Bytes tx_begin_body(std::int64_t now_ns, const SessionKey& key,
-                    const proto::SessionTable::Session& session,
-                    std::uint64_t next_tx_id, const DedupRow* dedup);
-Bytes tx_settle_body(std::int64_t now_ns, const SessionKey& key,
-                     const proto::SessionTable::Session& session,
-                     std::uint64_t next_tx_id, std::uint64_t tx_accepted_total,
-                     const ReplayDigest* digest);
-Bytes replay_digest_body(std::int64_t now_ns, const ReplayDigest& digest);
-Bytes dedup_row_body(std::int64_t now_ns, const DedupRow& row);
-
-/// Folds decoded journal records into a base state (usually the
-/// snapshot). apply() returns a typed error for a structurally invalid
-/// body -- the caller treats it like any other corrupt record (keep the
-/// prefix, surface the fault).
+/// Merges ShardStates: the base (usually the snapshot) at construction,
+/// then one decoded journal delta per apply(). apply() returns a typed
+/// error (kInvalidArgument) for a body that does not decode -- the
+/// caller treats it like any other corrupt record (keep the prefix,
+/// surface the fault).
 class ShardStateBuilder {
  public:
   explicit ShardStateBuilder(ShardState base);
 
-  /// Applies one record. Records with seq <= the base snapshot's
-  /// last_seq or <= the last applied seq are skipped (idempotence);
-  /// skipped records still return ok.
+  /// Merges one record's delta. Records with seq <= the base's last_seq
+  /// or <= the last applied seq are skipped (idempotence); skipped
+  /// records still return ok. The body decodes whole before anything
+  /// merges, so an invalid record never half-applies.
   Status apply(const JournalRecord& record);
 
-  /// Records actually folded in (excludes skipped duplicates).
+  /// Records actually merged (excludes skipped duplicates).
   std::uint64_t applied() const { return applied_; }
 
   /// Materializes the final state (sessions sorted, enrolled sorted by
@@ -143,17 +156,15 @@ class ShardStateBuilder {
     std::unordered_map<std::string, std::size_t> index;  // key bytes -> rec
   };
 
-  void upsert(SessionMap& map, const SessionKey& key,
-              const proto::SessionTable::Session& session, bool arm_token);
-  void add_digest(const ReplayDigest& digest);
-  void add_dedup(const DedupRow& row);
+  void merge(ShardState&& delta);
+  void upsert(SessionMap& map, SessionEntry&& entry);
 
   SessionMap enroll_;
   SessionMap tx_;
   std::vector<EnrolledClient> enrolled_;
   std::unordered_map<std::string, std::size_t> enrolled_index_;
   std::vector<ReplayDigest> digests_;
-  std::unordered_map<std::string, std::size_t> digest_index_;
+  std::unordered_set<std::string> digest_seen_;
   std::vector<DedupRow> dedup_;
   std::vector<bool> dedup_live_;  // false: superseded by a later write
   std::unordered_map<std::string, std::size_t> dedup_index_;

@@ -54,7 +54,7 @@ class TpmDevice {
     /// Transient-fault model (disabled by default). When enabled, every
     /// fallible command may fault and be re-issued with backoff; see
     /// TpmFaultProfile.
-    TpmFaultProfile faults;
+    TpmFaultProfile faults{};
   };
 
   /// `seed` determines all device-internal randomness (SRK seed, AIK,

@@ -709,7 +709,8 @@ TEST(GroupCommit, TornBatchFailsEveryReplyAndRetransmitsSettleOnce) {
     tx.push_back(challenge_tx_id(challenge.frame));
   }
   // One acked confirm outside the batch; it also measures the size of a
-  // settle record (fixed: sessions serialize at a fixed width).
+  // settle record. The batch's confirms settle the same way (same nonce
+  // length, same cached-reply length), so their records are this size.
   const std::string warm = "gc-batch-warm";
   const auto warm_challenge = cluster.call(warm, submit_frame(warm, "warm"));
   ASSERT_EQ(warm_challenge.status, svc::SvcStatus::kOk);

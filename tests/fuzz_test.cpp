@@ -360,40 +360,40 @@ TEST(Fuzz, SessionTableMatchesReferenceModelUnderRandomOps) {
   EXPECT_EQ(table.memory_bytes(), memory);
 }
 
-// A small but type-complete journal: one record of every kind, the same
-// shape the SP writes in production.
+// A small journal whose deltas fill every list of the body, shaped like
+// the SP's own records (begin and settle of each phase, then a digest
+// and a dedup row on their own).
 Bytes sample_wal() {
-  using store::RecordType;
   proto::SessionTable::Session session;
   session.state = proto::SessionState::kChallengeSent;
   session.deadline = SimTime{5'000};
   session.set_nonce(Bytes(20, 0xab));
+  session.set_response(Bytes(33, 0xcd));
   const auto key = proto::SessionTable::tx_key(42);
   store::ReplayDigest digest{};
   digest.fill(0x5c);
   const store::DedupRow row{proto::SessionTable::client_key("fuzz"),
                             proto::SessionTable::payload_key(bytes_of("p")),
                             42};
+  std::vector<store::ShardState> deltas(6);
+  deltas[0].enroll_sessions = {{key, session}};
+  deltas[1].enroll_sessions = {{key, session}};
+  deltas[1].enrolled = {{"fuzz", bytes_of("key-blob")}};
+  deltas[2].tx_sessions = {{key, session}};
+  deltas[2].dedup = {row};
+  deltas[2].next_tx_id = 43;
+  deltas[3].tx_sessions = {{key, session}};
+  deltas[3].replay_digests = {digest};
+  deltas[3].next_tx_id = 43;
+  deltas[3].tx_accepted_total = 1;
+  deltas[4].replay_digests = {digest};
+  deltas[5].dedup = {row};
   Bytes wal;
-  std::uint64_t seq = 1;
-  append(wal, store::encode_record(
-                  seq++, RecordType::kEnrollBegin,
-                  store::enroll_begin_body(100, key, session)));
-  append(wal, store::encode_record(
-                  seq++, RecordType::kEnrollSettle,
-                  store::enroll_settle_body(200, key, session, "fuzz",
-                                            bytes_of("key-blob"))));
-  append(wal, store::encode_record(
-                  seq++, RecordType::kTxBegin,
-                  store::tx_begin_body(300, key, session, 43, &row)));
-  append(wal, store::encode_record(
-                  seq++, RecordType::kTxSettle,
-                  store::tx_settle_body(400, key, session, 43, 1, &digest)));
-  append(wal, store::encode_record(
-                  seq++, RecordType::kReplayDigest,
-                  store::replay_digest_body(500, digest)));
-  append(wal, store::encode_record(seq++, RecordType::kDedupRow,
-                                   store::dedup_row_body(600, row)));
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    deltas[i].source_now_ns = static_cast<std::int64_t>(100 * (i + 1));
+    append(wal, store::encode_record(i + 1, store::RecordType::kShardDelta,
+                                     store::encode_shard_delta(deltas[i])));
+  }
   return wal;
 }
 

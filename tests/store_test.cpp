@@ -10,13 +10,19 @@
 //     prefix, and never crashes (the suite runs under ASan/UBSan in CI).
 //   - Snapshot: serialize/deserialize round-trips a fully populated
 //     ShardState; any single-byte damage is a typed hard error (there
-//     is no safe prefix of a snapshot).
+//     is no safe prefix of a snapshot), and so is a short blob whose
+//     CRC holds.
+//   - Fold: every record body is a ShardState delta in the snapshot's
+//     body codec; the builder merges a duplicated record once, moves a
+//     re-inserted dedup key to the back, and orders sessions exactly as
+//     the live table does.
 //   - Log: DurableLog positions the seq cursor past what it recovered,
 //     a torn append or multi-record commit does not consume a seq, and
 //     the compaction crash window ("snapshot written, journal not yet
 //     truncated") replays zero already-covered records.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -103,7 +109,33 @@ ShardState sample_state() {
   return state;
 }
 
-/// A small journal exercising every record type, as `(encoded, records)`.
+/// Delta helpers: one frame's worth of state, stamped at `now_ns`.
+ShardState digest_delta(std::int64_t now_ns, const ReplayDigest& digest) {
+  ShardState delta;
+  delta.source_now_ns = now_ns;
+  delta.replay_digests = {digest};
+  return delta;
+}
+
+ShardState dedup_delta(std::int64_t now_ns, const DedupRow& row) {
+  ShardState delta;
+  delta.source_now_ns = now_ns;
+  delta.dedup = {row};
+  return delta;
+}
+
+JournalRecord delta_record(std::uint64_t seq, const ShardState& delta) {
+  return {seq, RecordType::kShardDelta, store::encode_shard_delta(delta)};
+}
+
+/// stage + commit of one delta: the SP's write path for a single frame.
+void append_delta(DurableLog& log, const ShardState& delta) {
+  log.stage(delta);
+  log.commit();
+}
+
+/// A small journal whose deltas fill every list of the body, shaped
+/// like the SP's own records, as `(encoded, records)`.
 struct SampleJournal {
   Bytes bytes;
   std::vector<JournalRecord> records;
@@ -111,32 +143,39 @@ struct SampleJournal {
 
 SampleJournal sample_journal() {
   SampleJournal j;
-  const auto add = [&j](std::uint64_t seq, RecordType type, Bytes body) {
-    append(j.bytes, store::encode_record(seq, type, body));
-    j.records.push_back({seq, type, std::move(body)});
+  const auto add = [&j](const ShardState& delta) {
+    j.records.push_back(delta_record(j.records.size() + 1, delta));
+    const JournalRecord& r = j.records.back();
+    append(j.bytes, store::encode_record(r.seq, r.type, r.body));
   };
-  add(1, RecordType::kEnrollBegin,
-      store::enroll_begin_body(
-          10, make_key(1),
-          make_session(proto::SessionState::kChallengeSent, 100, 1)));
-  add(2, RecordType::kEnrollSettle,
-      store::enroll_settle_body(
-          20, make_key(1), make_session(proto::SessionState::kDone, 100, 1),
-          "client-a", bytes_of("serialized-key-a")));
-  const DedupRow row{make_key(5), make_key(6), 43};
-  add(3, RecordType::kTxBegin,
-      store::tx_begin_body(
-          30, make_key(3),
-          make_session(proto::SessionState::kChallengeSent, 150, 3), 43,
-          &row));
-  const ReplayDigest digest = make_digest(9);
-  add(4, RecordType::kTxSettle,
-      store::tx_settle_body(
-          40, make_key(3), make_session(proto::SessionState::kDone, 150, 3),
-          43, 1, &digest));
-  add(5, RecordType::kReplayDigest, store::replay_digest_body(50, make_digest(10)));
-  add(6, RecordType::kDedupRow,
-      store::dedup_row_body(60, DedupRow{make_key(7), make_key(8), 44}));
+  ShardState enroll_begin;  // EnrollBegin: the enroll session
+  enroll_begin.source_now_ns = 10;
+  enroll_begin.enroll_sessions = {
+      {make_key(1), make_session(proto::SessionState::kChallengeSent, 100, 1)}};
+  add(enroll_begin);
+  ShardState enroll_settle;  // EnrollComplete: the session plus the key
+  enroll_settle.source_now_ns = 20;
+  enroll_settle.enroll_sessions = {
+      {make_key(1), make_session(proto::SessionState::kDone, 100, 1)}};
+  enroll_settle.enrolled = {{"client-a", bytes_of("serialized-key-a")}};
+  add(enroll_settle);
+  ShardState tx_begin;  // TxSubmit: the tx session and its dedup row
+  tx_begin.source_now_ns = 30;
+  tx_begin.next_tx_id = 43;
+  tx_begin.tx_sessions = {
+      {make_key(3), make_session(proto::SessionState::kChallengeSent, 150, 3)}};
+  tx_begin.dedup = {{make_key(5), make_key(6), 43}};
+  add(tx_begin);
+  ShardState tx_settle;  // TxConfirm: the session plus the replay digest
+  tx_settle.source_now_ns = 40;
+  tx_settle.next_tx_id = 43;
+  tx_settle.tx_accepted_total = 1;
+  tx_settle.tx_sessions = {
+      {make_key(3), make_session(proto::SessionState::kDone, 150, 3)}};
+  tx_settle.replay_digests = {make_digest(9)};
+  add(tx_settle);
+  add(digest_delta(50, make_digest(10)));
+  add(dedup_delta(60, DedupRow{make_key(7), make_key(8), 44}));
   return j;
 }
 
@@ -276,14 +315,19 @@ TEST(Journal, CorruptionErrorNamesRecordOffsetAndFault) {
     return frame.take();
   };
 
-  // An unknown type tag with a recomputed (valid) CRC: kBadType.
-  BinaryWriter unknown;
-  unknown.u64(1);    // seq
-  unknown.u8(0x7f);  // no such record type
-  unknown.raw(bytes_of("body"));
-  const JournalDecode type = store::decode_journal(frame_payload(unknown.take()));
-  ASSERT_TRUE(type.corruption.has_value());
-  EXPECT_EQ(type.corruption->fault, JournalFault::kBadType);
+  // An unknown type tag with a recomputed (valid) CRC: kBadType. The
+  // retired per-mutation tags 1-6 are unknown too, so a journal written
+  // before the one delta kind stops decoding instead of being misread.
+  for (const std::uint8_t tag : {1, 2, 3, 4, 5, 6, 0x7f}) {
+    BinaryWriter unknown;
+    unknown.u64(1);   // seq
+    unknown.u8(tag);  // no such record type
+    unknown.raw(bytes_of("body"));
+    const JournalDecode type =
+        store::decode_journal(frame_payload(unknown.take()));
+    ASSERT_TRUE(type.corruption.has_value()) << "tag " << int{tag};
+    EXPECT_EQ(type.corruption->fault, JournalFault::kBadType);
+  }
 
   // A framed payload too short to hold seq+type: kShortPayload.
   const JournalDecode sp = store::decode_journal(frame_payload(bytes_of("tiny")));
@@ -327,10 +371,8 @@ TEST(Journal, ReinsertedDedupKeyFoldsToItsLastPosition) {
   for (const DedupRow& row : {a, b, a2}) {
     ++seq;
     ASSERT_TRUE(builder
-                    .apply(JournalRecord{seq, RecordType::kDedupRow,
-                                         store::dedup_row_body(
-                                             static_cast<std::int64_t>(seq),
-                                             row)})
+                    .apply(delta_record(
+                        seq, dedup_delta(static_cast<std::int64_t>(seq), row)))
                     .ok());
   }
   EXPECT_EQ(builder.take().dedup, (std::vector<DedupRow>{b, a2}));
@@ -342,12 +384,61 @@ TEST(Journal, ReinsertedDedupKeyFoldsToItsLastPosition) {
   ShardStateBuilder from_snapshot(std::move(base));
   const DedupRow tail[] = {b, a2};
   for (std::uint64_t i = 0; i < 2; ++i) {
-    ASSERT_TRUE(from_snapshot
-                    .apply(JournalRecord{i + 1, RecordType::kDedupRow,
-                                         store::dedup_row_body(1, tail[i])})
-                    .ok());
+    ASSERT_TRUE(
+        from_snapshot.apply(delta_record(i + 1, dedup_delta(1, tail[i]))).ok());
   }
   EXPECT_EQ(from_snapshot.take().dedup, (std::vector<DedupRow>{b, a2}));
+}
+
+TEST(Journal, FoldedSessionOrderMatchesTheLiveTable) {
+  // Begin A, begin B, settle A, begin A again, begin C, all at one
+  // instant, so every deadline ties and only arrival order tells the
+  // sessions apart. The live table moves a slot to its LRU back on each
+  // begin and leaves it in place on a settle; restore() replays the
+  // fold's order as the recovered LRU order, so the fold must agree
+  // with the live table after every step, in both session maps.
+  const SimTime now{1'000};
+  const SessionKey a = make_key(1);
+  const SessionKey b = make_key(2);
+  const SessionKey c = make_key(3);
+  struct Step {
+    SessionKey key;
+    bool begin;
+  };
+  const Step steps[] = {{a, true}, {b, true}, {a, false}, {a, true}, {c, true}};
+  const auto keys_of = [](const std::vector<store::SessionEntry>& entries) {
+    std::vector<SessionKey> keys;
+    for (const store::SessionEntry& e : entries) keys.push_back(e.key);
+    return keys;
+  };
+  for (const bool tx : {false, true}) {
+    proto::SessionTable live(
+        proto::SessionTableConfig{8, SimDuration::seconds(120)});
+    std::vector<JournalRecord> records;
+    for (const Step& step : steps) {
+      proto::SessionTable::Session* session = nullptr;
+      if (step.begin) {
+        session = &live.begin(step.key, now);
+      } else {
+        session = live.find(step.key, now);
+        ASSERT_NE(session, nullptr);
+        session->state = proto::SessionState::kDone;
+      }
+      ShardState delta;
+      delta.source_now_ns = now.ns;
+      (tx ? delta.tx_sessions : delta.enroll_sessions)
+          .push_back({step.key, *session});
+      records.push_back(delta_record(records.size() + 1, delta));
+
+      ShardStateBuilder builder{ShardState{}};
+      for (const JournalRecord& r : records) ASSERT_TRUE(builder.apply(r).ok());
+      const ShardState folded = builder.take();
+      EXPECT_EQ(keys_of(tx ? folded.tx_sessions : folded.enroll_sessions),
+                keys_of(live.snapshot()))
+          << (tx ? "tx" : "enroll") << " map after step " << records.size();
+    }
+    EXPECT_EQ(keys_of(live.snapshot()), (std::vector<SessionKey>{b, a, c}));
+  }
 }
 
 TEST(Journal, BuilderRejectsStructurallyInvalidBodies) {
@@ -356,13 +447,25 @@ TEST(Journal, BuilderRejectsStructurallyInvalidBodies) {
   // error instead of half-applying.
   JournalRecord record;
   record.seq = 1;
-  record.type = RecordType::kTxSettle;
-  record.body = bytes_of("definitely not a tx_settle body");
+  record.type = RecordType::kShardDelta;
+  record.body = bytes_of("definitely not a shard delta");
   ShardStateBuilder builder(ShardState{});
   const Status status = builder.apply(record);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), Err::kInvalidArgument);
   EXPECT_EQ(builder.applied(), 0u);
+
+  // Every proper prefix of a real delta body (the journal frame's CRC
+  // would be valid over it) fails the same typed way, never by throwing.
+  const Bytes body = sample_journal().records[3].body;
+  for (std::size_t cut = 0; cut < body.size(); ++cut) {
+    ShardStateBuilder truncated(ShardState{});
+    const Status st = truncated.apply(JournalRecord{
+        1, RecordType::kShardDelta, Bytes(body.begin(), body.begin() + cut)});
+    ASSERT_FALSE(st.ok()) << "cut at " << cut;
+    EXPECT_EQ(st.code(), Err::kInvalidArgument) << "cut at " << cut;
+    EXPECT_EQ(truncated.applied(), 0u);
+  }
 }
 
 // ------------------------------------------------------------- snapshot
@@ -409,6 +512,60 @@ TEST(ShardStateCodec, AnySingleByteDamageIsATypedHardError) {
     EXPECT_FALSE(store::deserialize_shard_state(prefix).ok())
         << "cut at " << cut;
   }
+}
+
+TEST(ShardStateCodec, ShortBlobsWithAValidCrcAreTypedErrors) {
+  // A blob whose CRC seal holds but whose header or body stops early
+  // must come back as kInvalidArgument, never as an exception out of an
+  // unchecked read. The shortest such blob is magic + version + CRC (10
+  // bytes); every longer cut of a real snapshot, resealed, must fail the
+  // same way.
+  const Bytes full = store::serialize_shard_state(sample_state());
+  const BytesView body(full.data(), full.size() - 4);
+  for (std::size_t cut = 0; cut < body.size(); ++cut) {
+    BinaryWriter w;
+    w.raw(body.first(cut));
+    w.u32(store::crc32c(body.first(cut)));
+    const Bytes blob = w.take();
+    if (cut == 6) {
+      ASSERT_EQ(blob.size(), 10u);
+    }
+    auto parsed = store::deserialize_shard_state(blob);
+    ASSERT_FALSE(parsed.ok()) << "cut at " << cut;
+    EXPECT_EQ(parsed.error().code, Err::kInvalidArgument)
+        << "cut at " << cut << ": " << parsed.error().to_string();
+  }
+}
+
+TEST(ShardStateCodec, SessionsCarryNonceAndResponseByLength) {
+  // A session writes its nonce and cached response by their lengths, not
+  // as their 32- and 128-byte arrays: a TxSettle-shaped delta with a
+  // 20-byte nonce and a 50-byte cached TxResult costs 162 B of session.
+  proto::SessionTable::Session session =
+      make_session(proto::SessionState::kDone, 150, 3);
+  session.set_nonce(Bytes(20, 0x6e));
+  session.set_response(Bytes(50, 0x72));
+  ShardState delta;
+  delta.tx_sessions = {{make_key(3), session}};
+  const Bytes body = store::encode_shard_delta(delta);
+  constexpr std::size_t kCountersAndCounts = 3 * 8 + 5 * 4;
+  constexpr std::size_t kSessionFixed = 16 + 1 + 8 + 16 + 1 + 32 + 16 + 2;
+  EXPECT_EQ(body.size(), kCountersAndCounts + kSessionFixed + 20 + 50);
+
+  ShardStateBuilder builder(ShardState{});
+  ASSERT_TRUE(builder.apply(JournalRecord{1, RecordType::kShardDelta, body}).ok());
+  const ShardState got = builder.take();
+  ASSERT_EQ(got.tx_sessions.size(), 1u);
+  const proto::SessionTable::Session& back = got.tx_sessions[0].session;
+  EXPECT_TRUE(std::equal(back.nonce_view().begin(), back.nonce_view().end(),
+                         session.nonce_view().begin(),
+                         session.nonce_view().end()));
+  EXPECT_TRUE(std::equal(back.response_view().begin(),
+                         back.response_view().end(),
+                         session.response_view().begin(),
+                         session.response_view().end()));
+  EXPECT_EQ(back.request_digest, session.request_digest);
+  EXPECT_EQ(back.tx_digest, session.tx_digest);
 }
 
 // -------------------------------------------------------------- backends
@@ -492,12 +649,14 @@ TEST(DurableLog, RecoversWhatWasAppendedAndPositionsTheSeqCursor) {
   EXPECT_TRUE(empty.value().empty());
   EXPECT_EQ(writer.next_seq(), 1u);
 
-  writer.append(RecordType::kReplayDigest,
-                store::replay_digest_body(10, make_digest(1)));
-  writer.append(RecordType::kReplayDigest,
-                store::replay_digest_body(20, make_digest(2)));
-  writer.append(RecordType::kDedupRow,
-                store::dedup_row_body(30, DedupRow{make_key(1), make_key(2), 7}));
+  // append() frames an already-encoded body: the path that replays
+  // decoded records into a fresh log.
+  for (const ShardState& delta :
+       {digest_delta(10, make_digest(1)), digest_delta(20, make_digest(2)),
+        dedup_delta(30, DedupRow{make_key(1), make_key(2), 7})}) {
+    writer.append(RecordType::kShardDelta,
+                  store::encode_shard_delta(delta));
+  }
   EXPECT_EQ(writer.next_seq(), 4u);
 
   DurableLog reader(config);
@@ -523,12 +682,10 @@ TEST(DurableLog, TornAppendDoesNotConsumeASeq) {
   config.backend = &backend;
   DurableLog log(config);
   ASSERT_TRUE(log.recover().ok());
-  log.append(RecordType::kReplayDigest,
-             store::replay_digest_body(10, make_digest(1)));
+  append_delta(log, digest_delta(10, make_digest(1)));
 
   backend.crash_at_bytes(backend.appended_total() + 5);
-  EXPECT_THROW(log.append(RecordType::kReplayDigest,
-                          store::replay_digest_body(20, make_digest(2))),
+  EXPECT_THROW(append_delta(log, digest_delta(20, make_digest(2))),
                CrashInjected);
   EXPECT_EQ(log.next_seq(), 2u);  // the torn record's seq was not spent
 
@@ -545,15 +702,12 @@ TEST(DurableLog, TornAppendDoesNotConsumeASeq) {
   // A torn multi-record commit spends no seq either, even though the
   // backend kept its first record whole; the staged remainder is dropped.
   const Bytes kept = store::encode_record(
-      2, RecordType::kReplayDigest,
-      store::replay_digest_body(30, make_digest(3)));
+      2, RecordType::kShardDelta,
+      store::encode_shard_delta(digest_delta(30, make_digest(3))));
   backend.crash_at_bytes(backend.appended_total() + kept.size() + 5);
-  log.stage(RecordType::kReplayDigest,
-            store::replay_digest_body(30, make_digest(3)));
-  log.stage(RecordType::kReplayDigest,
-            store::replay_digest_body(40, make_digest(4)));
-  log.stage(RecordType::kReplayDigest,
-            store::replay_digest_body(50, make_digest(5)));
+  log.stage(digest_delta(30, make_digest(3)));
+  log.stage(digest_delta(40, make_digest(4)));
+  log.stage(digest_delta(50, make_digest(5)));
   EXPECT_THROW(log.commit(), CrashInjected);
   EXPECT_EQ(log.next_seq(), 2u);
   backend.clear_crash_point();
@@ -563,21 +717,17 @@ TEST(DurableLog, TornAppendDoesNotConsumeASeq) {
 
   // A record staged after the tear, by a frame whose reply can never
   // leave, must not ride along with the next incarnation's first commit.
-  log.stage(RecordType::kReplayDigest,
-            store::replay_digest_body(55, make_digest(9)));
+  log.stage(digest_delta(55, make_digest(9)));
 
   // Recovery on the same log moves the cursor past the whole record the
   // tear kept, and later commits continue the seq space without a gap.
   ASSERT_TRUE(log.recover().ok());
   EXPECT_EQ(log.recovery_stats().replayed_records, 1u);
   EXPECT_EQ(log.next_seq(), 3u);
-  log.stage(RecordType::kReplayDigest,
-            store::replay_digest_body(60, make_digest(6)));
-  log.stage(RecordType::kReplayDigest,
-            store::replay_digest_body(70, make_digest(7)));
+  log.stage(digest_delta(60, make_digest(6)));
+  log.stage(digest_delta(70, make_digest(7)));
   log.commit();
-  log.append(RecordType::kReplayDigest,
-             store::replay_digest_body(80, make_digest(8)));
+  append_delta(log, digest_delta(80, make_digest(8)));
   EXPECT_EQ(log.next_seq(), 6u);
   const JournalDecode journal = store::decode_journal(backend.read_journal());
   ASSERT_TRUE(journal.clean());
@@ -608,11 +758,9 @@ TEST(DurableLog, AppendsAfterATornTailSurviveTheNextRecovery) {
   config.backend = &backend;
   DurableLog log(config);
   ASSERT_TRUE(log.recover().ok());
-  log.append(RecordType::kReplayDigest,
-             store::replay_digest_body(10, make_digest(1)));
+  append_delta(log, digest_delta(10, make_digest(1)));
   backend.crash_at_bytes(backend.appended_total() + 5);
-  EXPECT_THROW(log.append(RecordType::kReplayDigest,
-                          store::replay_digest_body(20, make_digest(2))),
+  EXPECT_THROW(append_delta(log, digest_delta(20, make_digest(2))),
                CrashInjected);
   backend.clear_crash_point();
 
@@ -621,10 +769,8 @@ TEST(DurableLog, AppendsAfterATornTailSurviveTheNextRecovery) {
   ASSERT_TRUE(second.recover().ok());
   EXPECT_EQ(backend.read_journal().size(), 0u)  // tail amputated
       << "recovery left a torn tail in the journal";
-  second.append(RecordType::kReplayDigest,
-                store::replay_digest_body(30, make_digest(3)));
-  second.append(RecordType::kReplayDigest,
-                store::replay_digest_body(40, make_digest(4)));
+  append_delta(second, digest_delta(30, make_digest(3)));
+  append_delta(second, digest_delta(40, make_digest(4)));
 
   // Incarnation 3 must see everything both predecessors acked.
   DurableLog third(config);
@@ -641,10 +787,8 @@ TEST(DurableLog, CompactionCrashWindowReplaysNothingTwice) {
   config.backend = &backend;
   DurableLog log(config);
   ASSERT_TRUE(log.recover().ok());
-  log.append(RecordType::kReplayDigest,
-             store::replay_digest_body(10, make_digest(1)));
-  log.append(RecordType::kReplayDigest,
-             store::replay_digest_body(20, make_digest(2)));
+  append_delta(log, digest_delta(10, make_digest(1)));
+  append_delta(log, digest_delta(20, make_digest(2)));
   const Bytes journal_before = backend.read_journal();
 
   DurableLog folder(config);
@@ -675,13 +819,11 @@ TEST(DurableLog, ShouldCompactTracksTheConfiguredJournalBound) {
   ASSERT_TRUE(log.recover().ok());
   EXPECT_FALSE(log.should_compact());
   while (!log.should_compact()) {
-    log.append(RecordType::kReplayDigest,
-               store::replay_digest_body(10, make_digest(3)));
+    append_delta(log, digest_delta(10, make_digest(3)));
   }
   EXPECT_GE(backend.journal_bytes(), 64u);
   // compact() commits what is staged before it stamps the snapshot.
-  log.stage(RecordType::kReplayDigest,
-            store::replay_digest_body(20, make_digest(4)));
+  log.stage(digest_delta(20, make_digest(4)));
   const std::uint64_t seq = log.next_seq();
   log.compact(ShardState{});
   EXPECT_EQ(log.next_seq(), seq + 1);
@@ -722,8 +864,7 @@ TEST(DurableLog, ShouldCompactWaitsForTheJournalToOutgrowTheSnapshot) {
 
   while (backend.journal_bytes() < snapshot_bytes) {
     EXPECT_FALSE(log.should_compact());
-    log.append(RecordType::kReplayDigest,
-               store::replay_digest_body(10, make_digest(7)));
+    append_delta(log, digest_delta(10, make_digest(7)));
   }
   EXPECT_TRUE(log.should_compact());
 
